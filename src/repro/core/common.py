@@ -45,6 +45,19 @@ class PartitionResult:
         return float(cov.sum() / nv)
 
 
+def assignment_array(src, dst, pid) -> np.ndarray:
+    """The ``(m, 3)`` int64 ``(src, dst, pid)`` array of a result.
+
+    Filled one column at a time into a preallocated array, so no
+    full-width int64 copy of the inputs is made on the way.
+    """
+    assignment = np.empty((len(pid), 3), dtype=np.int64)
+    assignment[:, 0] = src
+    assignment[:, 1] = dst
+    assignment[:, 2] = pid
+    return assignment
+
+
 def _pair_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lo = np.minimum(a, b).astype(np.uint64)
     hi = np.maximum(a, b).astype(np.uint64)

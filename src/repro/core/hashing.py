@@ -1,9 +1,9 @@
-"""Stateless hashing partitioners DBH and Grid as Spark DataFrame jobs.
+"""Stateless hashing partitioner DBH as a Spark DataFrame job.
 
-These are the Θ(|E|) baselines of the paper (Table 1): every edge's
+DBH is the Θ(|E|) baseline of the paper (Table 1): every edge's
 partition is a pure function of its endpoint ids/degrees, so — unlike
-the sequential stateful partitioners — they are embarrassingly parallel
-and are implemented end-to-end in the DataFrame API. The hash is a
+the sequential stateful partitioners — it is embarrassingly parallel
+and is implemented end-to-end in the DataFrame API. The hash is a
 Knuth multiplicative hash expressible identically in Spark SQL and
 DuckDB SQL, so tests oracle-check the full assignment. Vertex ids must
 stay below 2^22 so the 64-bit product cannot overflow (ids here are
@@ -20,7 +20,7 @@ from pyspark.sql import functions as F
 
 from ..graphs.degrees import degrees_df
 from ..graphs.generators import EdgeList
-from .common import PartitionResult
+from .common import PartitionResult, assignment_array
 
 _KNUTH = 2654435761
 
@@ -48,20 +48,6 @@ def partition_dbh(edges: DataFrame, *, k: int) -> DataFrame:
     )
 
 
-def partition_grid(edges: DataFrame, *, k: int) -> DataFrame:
-    """Grid/2D hashing (GraphBuilder): k must be a perfect square s²;
-    pid = (h(src) mod s)·s + (h(dst) mod s). Returns
-    DataFrame(src, dst, pid)."""
-    s = int(round(k**0.5))
-    if s * s != k:
-        raise ValueError(f"grid partitioning needs square k, got {k}")
-    return edges.selectExpr(
-        "src",
-        "dst",
-        f"({hash_expr('src', s)}) * {s} + ({hash_expr('dst', s)}) as pid",
-    )
-
-
 def dbh_np(el: EdgeList, *, k: int) -> PartitionResult:
     """Driver-side DBH with identical semantics to :func:`partition_dbh`."""
     deg = el.degrees().astype(np.int64)
@@ -70,7 +56,7 @@ def dbh_np(el: EdgeList, *, k: int) -> PartitionResult:
     use_src = (deg[src] < deg[dst]) | ((deg[src] == deg[dst]) & (src < dst))
     picked = np.where(use_src, src, dst)
     pid = ((picked * _KNUTH) % 4294967296) % k
-    assignment = np.stack([src, dst, pid.astype(np.int64)], axis=1)
+    assignment = assignment_array(src, dst, pid)
     cov = np.zeros((k, el.n), dtype=bool)
     cov[pid, src] = True
     cov[pid, dst] = True

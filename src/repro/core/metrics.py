@@ -6,8 +6,9 @@ All metrics consume an *assignment* DataFrame(src, dst, pid):
 * edge balance        α  = max_i |p_i| / (|E|/k),
 * vertex balance      std/avg of |V(p_i)| over partitions (Table 5).
 
-numpy twins operate on :class:`PartitionResult` for driver-side use;
-tests assert Spark and numpy agree and oracle-check the Spark versions
+numpy twins operate on :class:`PartitionResult` for driver-side use
+(RF's is :meth:`PartitionResult.replication_factor`); tests assert
+Spark and numpy agree and oracle-check the Spark versions
 against DuckDB SQL.
 """
 from __future__ import annotations
@@ -17,21 +18,13 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from ..gasx.engine import replica_table
 from .common import PartitionResult
-
-
-def covered_vertices(assignment: DataFrame) -> DataFrame:
-    """DataFrame(pid, v): vertex v is covered by (replicated on) pid."""
-    return (
-        assignment.select("pid", F.col("src").alias("v"))
-        .unionAll(assignment.select("pid", F.col("dst").alias("v")))
-        .distinct()
-    )
 
 
 def replication_factor(assignment: DataFrame) -> float:
     """RF over vertices incident to at least one edge."""
-    cov = covered_vertices(assignment)
+    cov = replica_table(assignment)
     total = cov.count()
     nv = cov.select("v").distinct().count()
     return total / nv
@@ -49,7 +42,7 @@ def vertex_balance(assignment: DataFrame) -> float:
     """Std-deviation / average of per-partition covered-vertex counts
     (Table 5's metric; population std as the paper reports spread over
     the fixed set of k partitions)."""
-    per = covered_vertices(assignment).groupBy("pid").count()
+    per = replica_table(assignment).groupBy("pid").count()
     row = per.agg(
         F.stddev_pop("count").alias("sd"), F.avg("count").alias("avg")
     ).first()
@@ -70,10 +63,6 @@ def assignment_to_spark(spark: SparkSession, res: PartitionResult) -> DataFrame:
 
 
 # --- numpy twins -------------------------------------------------------
-
-def replication_factor_np(res: PartitionResult) -> float:
-    return res.replication_factor()
-
 
 def edge_balance_np(res: PartitionResult) -> float:
     m = res.assignment.shape[0]

@@ -22,12 +22,12 @@ import numpy as np
 
 from ..graphs.csr import build_csr
 from ..graphs.generators import EdgeList
-from .common import PartitionResult
+from .common import PartitionResult, assignment_array
 
 
 def partition_ne(el: EdgeList, *, k: int, seed: int = 0) -> PartitionResult:
     """Partition all edges of ``el`` into ``k`` parts with basic NE."""
-    csr = build_csr(el, with_eids=True)
+    csr = build_csr(el)
     n, m = csr.n, el.m
     cap = max(1, -(-m // k))
     rng = np.random.default_rng(seed)
@@ -133,12 +133,8 @@ def partition_ne(el: EdgeList, *, k: int, seed: int = 0) -> PartitionResult:
     replicas[last, el.edges[rest, 0]] = True
     replicas[last, el.edges[rest, 1]] = True
 
-    assignment = np.empty((m, 3), dtype=np.int64)
-    assignment[:, 0] = el.edges[:, 0]
-    assignment[:, 1] = el.edges[:, 1]
-    assignment[:, 2] = pid_of
     return PartitionResult(
-        assignment=assignment,
+        assignment=assignment_array(el.edges[:, 0], el.edges[:, 1], pid_of),
         k=k,
         n=n,
         replicas=replicas,

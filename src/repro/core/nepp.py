@@ -32,7 +32,7 @@ import numpy as np
 
 from ..graphs.csr import CSR, build_pruned_csr
 from ..graphs.generators import EdgeList
-from .common import PartitionResult
+from .common import PartitionResult, assignment_array
 
 
 def partition_nepp(
@@ -217,16 +217,14 @@ def partition_nepp(
             replicas[last, v] = True
             replicas[last, in_high] = True
 
-    if a_src:
-        pids = np.repeat(
-            np.array([p for p, _ in a_runs], dtype=np.int64),
-            np.array([c for _, c in a_runs], dtype=np.int64),
-        )
-        assignment = np.stack(
-            [np.concatenate(a_src), np.concatenate(a_dst), pids], axis=1
-        )
-    else:
-        assignment = np.empty((0, 3), dtype=np.int64)
+    pids = np.repeat(
+        np.array([p for p, _ in a_runs], dtype=np.int64),
+        np.array([c for _, c in a_runs], dtype=np.int64),
+    )
+    no_edges = [np.empty(0, dtype=np.int64)]
+    assignment = assignment_array(
+        np.concatenate(a_src or no_edges), np.concatenate(a_dst or no_edges), pids
+    )
     return PartitionResult(
         assignment=assignment,
         k=k,

@@ -18,7 +18,7 @@ import heapq
 import numpy as np
 
 from ..graphs.generators import EdgeList
-from .common import PartitionResult
+from .common import PartitionResult, assignment_array
 
 
 def partition_sne(
@@ -137,8 +137,5 @@ def partition_sne(
         replicas[last, edges[rest, 0]] = True
         replicas[last, edges[rest, 1]] = True
 
-    assignment = np.empty((m, 3), dtype=np.int64)
-    assignment[:, 0] = edges[:, 0]
-    assignment[:, 1] = edges[:, 1]
-    assignment[:, 2] = pid_of
+    assignment = assignment_array(edges[:, 0], edges[:, 1], pid_of)
     return PartitionResult(assignment=assignment, k=k, n=n, replicas=replicas, stats={"sample_size": sample_size})

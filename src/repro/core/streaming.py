@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.generators import EdgeList
-from .common import PartitionResult
+from .common import PartitionResult, assignment_array
 
 _EPS = 1.0  # ε in HDRF's balance term
 
@@ -120,10 +120,7 @@ def partition_streaming(
         lam=lam,
         seed=seed,
     )
-    assignment = np.empty((el.m, 3), dtype=np.int64)
-    assignment[:, 0] = el.edges[:, 0]
-    assignment[:, 1] = el.edges[:, 1]
-    assignment[:, 2] = pids
+    assignment = assignment_array(el.edges[:, 0], el.edges[:, 1], pids)
     return PartitionResult(
         assignment=assignment, k=k, n=el.n, replicas=state.replicas, stats={"method": method}
     )

@@ -7,10 +7,10 @@ left-hand ``src`` in the input edge list) followed by the *in-list*
 per-list *size fields* track the number of valid entries so that lazy
 edge removal can swap-delete an entry in O(1) (Alg. 2).
 
-Two build modes:
+Two build modes, both filled by one list builder:
 
-* :func:`build_csr` — full graph, plus a parallel edge-id array and an
-  edge-validity bitmap for the NE *baseline*'s eager bookkeeping (the
+* :func:`build_csr` — full graph, plus a parallel edge-id array that
+  the NE *baseline*'s eager edge-validity bookkeeping keys on (the
   auxiliary structure the paper criticizes, §3.2.2).
 * :func:`build_pruned_csr` — NE++'s pruned representation: adjacency
   lists of high-degree vertices (``d(v) > τ·∅_d``) are omitted, and
@@ -64,10 +64,6 @@ class CSR:
             self.touch(int(s) * ID_BYTES, int(e) * ID_BYTES)
         return self.col[s:e]
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """All valid neighbors of v (out-list then in-list)."""
-        return np.concatenate([self.out_neighbors(v), self.in_neighbors(v)])
-
     def remove_neighbors(self, v: int, mask_out: np.ndarray, mask_in: np.ndarray) -> int:
         """Swap-remove the masked entries from v's lists; returns count.
 
@@ -100,35 +96,45 @@ class CSR:
 
 
 def _fill_lists(
-    n: int, src: np.ndarray, dst: np.ndarray, eid: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Build (out_start, out_size, in_start, in_size, col, col_eid).
+    n: int,
+    out_lists: tuple[np.ndarray, np.ndarray],
+    in_lists: tuple[np.ndarray, np.ndarray],
+    *,
+    high: np.ndarray,
+    h2h: np.ndarray,
+    eid: np.ndarray | None = None,
+) -> CSR:
+    """Build a CSR from (key, value) arrays for the out- and in-lists.
 
-    The out-list of each vertex is filled from (src→dst) edges sorted by
-    src; the in-list from (dst→src) sorted by dst. Out and in segments
-    of a vertex are adjacent in ``col``.
+    Each list entry ``value`` is stored in ``key``'s list, in input
+    order; the out- and in-segments of a vertex are adjacent in
+    ``col``. ``eid`` (full CSR only) gives the edge id of each entry of
+    both lists, which then come from the same edge order.
     """
-    out_deg = np.bincount(src, minlength=n).astype(np.int64)
-    in_deg = np.bincount(dst, minlength=n).astype(np.int64)
-    total = out_deg + in_deg
-    starts = np.concatenate([[0], np.cumsum(total)])[:-1]
-    out_start = starts
-    in_start = starts + out_deg
+    out_size = np.bincount(out_lists[0], minlength=n).astype(np.int64)
+    in_size = np.bincount(in_lists[0], minlength=n).astype(np.int64)
+    total = out_size + in_size
+    out_start = np.concatenate([[0], np.cumsum(total)])[:-1]
+    in_start = out_start + out_size
     col = np.zeros(int(total.sum()), dtype=np.uint32)
-    col_eid = np.zeros(int(total.sum()), dtype=np.int64) if eid is not None else None
-
-    o = np.argsort(src, kind="stable")
-    pos = out_start[src[o]] + _rank_within_group(src[o])
-    col[pos] = dst[o]
-    if col_eid is not None:
-        col_eid[pos] = eid[o]
-
-    o = np.argsort(dst, kind="stable")
-    pos = in_start[dst[o]] + _rank_within_group(dst[o])
-    col[pos] = src[o]
-    if col_eid is not None:
-        col_eid[pos] = eid[o]
-    return out_start, out_deg.copy(), in_start, in_deg.copy(), col, col_eid
+    col_eid = np.zeros(len(col), dtype=np.int64) if eid is not None else None
+    for start, (key, value) in ((out_start, out_lists), (in_start, in_lists)):
+        o = np.argsort(key, kind="stable")
+        pos = start[key[o]] + _rank_within_group(key[o])
+        col[pos] = value[o]
+        if col_eid is not None:
+            col_eid[pos] = eid[o]
+    return CSR(
+        n=n,
+        out_start=out_start,
+        out_size=out_size,
+        in_start=in_start,
+        in_size=in_size,
+        col=col,
+        high=high,
+        h2h=h2h,
+        col_eid=col_eid,
+    )
 
 
 def _rank_within_group(sorted_keys: np.ndarray) -> np.ndarray:
@@ -141,22 +147,17 @@ def _rank_within_group(sorted_keys: np.ndarray) -> np.ndarray:
     return idx - group_start
 
 
-def build_csr(el: EdgeList, *, with_eids: bool = True) -> CSR:
+def build_csr(el: EdgeList) -> CSR:
     """Full CSR over all edges (the NE baseline's representation)."""
     src = el.edges[:, 0].astype(np.int64)
     dst = el.edges[:, 1].astype(np.int64)
-    eid = np.arange(el.m, dtype=np.int64) if with_eids else None
-    os_, osz, is_, isz, col, col_eid = _fill_lists(el.n, src, dst, eid)
-    return CSR(
-        n=el.n,
-        out_start=os_,
-        out_size=osz,
-        in_start=is_,
-        in_size=isz,
-        col=col,
+    return _fill_lists(
+        el.n,
+        (src, dst),
+        (dst, src),
         high=np.zeros(el.n, dtype=bool),
         h2h=np.empty((0, 2), dtype=np.uint32),
-        col_eid=col_eid,
+        eid=np.arange(el.m, dtype=np.int64),
     )
 
 
@@ -171,36 +172,14 @@ def build_pruned_csr(el: EdgeList, *, tau: float) -> CSR:
     high = high_mask_np(deg, tau)
     src = el.edges[:, 0].astype(np.int64)
     dst = el.edges[:, 1].astype(np.int64)
-    is_h2h = high[src] & high[dst]
-    h2h = el.edges[is_h2h].copy()
-    ksrc, kdst = src[~is_h2h], dst[~is_h2h]
-    # drop the side owned by a high-degree vertex
-    out_keep = ~high[ksrc]
-    in_keep = ~high[kdst]
-    # build out segments from kept-src edges, in segments from kept-dst
-    # edges; sizes per vertex:
-    out_deg = np.bincount(ksrc[out_keep], minlength=el.n).astype(np.int64)
-    in_deg = np.bincount(kdst[in_keep], minlength=el.n).astype(np.int64)
-    total = out_deg + in_deg
-    starts = np.concatenate([[0], np.cumsum(total)])[:-1]
-    out_start = starts
-    in_start = starts + out_deg
-    col = np.zeros(int(total.sum()), dtype=np.uint32)
-
-    s, d = ksrc[out_keep], kdst[out_keep]
-    o = np.argsort(s, kind="stable")
-    col[out_start[s[o]] + _rank_within_group(s[o])] = d[o]
-    s, d = kdst[in_keep], ksrc[in_keep]
-    o = np.argsort(s, kind="stable")
-    col[in_start[s[o]] + _rank_within_group(s[o])] = d[o]
-
-    return CSR(
-        n=el.n,
-        out_start=out_start,
-        out_size=out_deg.copy(),
-        in_start=in_start,
-        in_size=in_deg.copy(),
-        col=col,
+    # a list entry is kept iff its owner is low-degree; an edge kept on
+    # neither side is an h2h edge
+    out_keep = ~high[src]
+    in_keep = ~high[dst]
+    return _fill_lists(
+        el.n,
+        (src[out_keep], dst[out_keep]),
+        (dst[in_keep], src[in_keep]),
         high=high,
-        h2h=h2h,
+        h2h=el.edges[~(out_keep | in_keep)],
     )

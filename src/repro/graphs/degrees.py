@@ -59,11 +59,6 @@ def split_edges(edges: DataFrame, high: DataFrame) -> tuple[DataFrame, DataFrame
 
 # --- numpy twins (used by the driver-side partitioner cores) -----------
 
-def degrees_np(el: EdgeList) -> np.ndarray:
-    """Per-vertex degree, shape (n,), int64."""
-    return el.degrees().astype(np.int64)
-
-
 def high_mask_np(deg: np.ndarray, tau: float) -> np.ndarray:
     """Boolean mask of high-degree vertices.
 

@@ -14,8 +14,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from .core.hashing import dbh_np
-from .core.hep import partition_hep
-from .core.hybrid_baseline import partition_simple_hybrid
+from .core.hep import partition_hep, partition_simple_hybrid
 from .core.memory_model import (
     hep_footprint_bytes,
     ne_footprint_bytes,
@@ -24,7 +23,6 @@ from .core.memory_model import (
 from .core.metrics import (
     assignment_to_spark,
     edge_balance_np,
-    replication_factor_np,
     vertex_balance_np,
 )
 from .core.ne import partition_ne
@@ -184,7 +182,7 @@ def run_table4(
                     graph=gname,
                     partitioner=pname,
                     t_partition_s=round(t_part, 3),
-                    rf=round(replication_factor_np(res), 3),
+                    rf=round(res.replication_factor(), 3),
                     pr_s=round(pr_stats.wall_s, 2),
                     pr_comm=pr_stats.comm_rows,
                     bfs_s=round(bfs_wall, 2),
@@ -212,7 +210,7 @@ def run_table5(
                     graph=gname,
                     partitioner=f"HEP-{tau:g}",
                     vertex_balance=round(vertex_balance_np(res), 3),
-                    rf=round(replication_factor_np(res), 3),
+                    rf=round(res.replication_factor(), 3),
                 )
             )
     return rows
@@ -253,7 +251,7 @@ def run_table6(
             modeled_runtime_s=round(
                 hep1.stats["t_inmem_s"] + hep1.stats["t_stream_s"], 3
             ),
-            rf=round(replication_factor_np(hep1), 3),
+            rf=round(hep1.replication_factor(), 3),
         )
     )
     return rows
@@ -274,7 +272,7 @@ def run_fig8(
                 dict(
                     graph=gname,
                     partitioner=pname,
-                    rf=round(replication_factor_np(res), 3),
+                    rf=round(res.replication_factor(), 3),
                     seconds=round(t, 3),
                     balance=round(edge_balance_np(res), 3),
                     mem_model_mib=round(footprint_model(pname, el, k=k) / 2**20, 3),
@@ -299,12 +297,12 @@ def run_fig9(
         rows.append(
             dict(
                 tau=tau,
-                rf_hep=round(replication_factor_np(hep), 3),
-                rf_simple=round(replication_factor_np(simple), 3),
+                rf_hep=round(hep.replication_factor(), 3),
+                rf_simple=round(simple.replication_factor(), 3),
                 t_hep_s=round(t_hep, 3),
                 t_simple_s=round(t_simple, 3),
                 rf_ratio=round(
-                    replication_factor_np(simple) / replication_factor_np(hep), 2
+                    simple.replication_factor() / hep.replication_factor(), 2
                 ),
                 t_inmem_hep_s=round(hep.stats["t_inmem_s"], 3),
                 t_inmem_simple_s=round(simple.stats["t_inmem_s"], 3),

@@ -127,7 +127,7 @@ def test_star_graph_pruning():
 
 def test_remove_neighbors_swap_removal():
     el = star_graph(4)  # hub 0 with leaves 1..4
-    csr = build_csr(el, with_eids=False)
+    csr = build_csr(el)
     nb = csr.out_neighbors(0)
     assert sorted(nb.tolist()) == [1, 2, 3, 4]
     removed = csr.remove_neighbors(
@@ -142,7 +142,7 @@ def test_remove_neighbors_swap_removal():
 
 def test_touch_hook_fires_on_access():
     el = tiny_graph("OK")
-    csr = build_csr(el, with_eids=False)
+    csr = build_csr(el)
     calls = []
     csr.touch = lambda lo, hi: calls.append((lo, hi))
     csr.out_neighbors(0)

@@ -9,7 +9,7 @@ from repro.core.hashing import dbh_np, partition_dbh
 from repro.core.hep import partition_hep
 from repro.core.metrics import assignment_to_spark
 from repro.gasx.algorithms import bfs, connected_components, pagerank
-from repro.gasx.engine import comm_volume, replica_table, symmetrize, vertices
+from repro.gasx.engine import replica_table, symmetrize, vertices
 from repro.gasx.reference import bfs_ref, cc_ref, pagerank_ref
 from repro.oracle import assert_equivalent
 
@@ -46,7 +46,7 @@ def test_comm_volume_equals_rf_times_v(spark, el, adf_hep):
     """Σ|V(p_i)| — the engine's replica table IS the RF numerator."""
     from repro.core.metrics import replication_factor
 
-    assert comm_volume(adf_hep) == pytest.approx(
+    assert replica_table(adf_hep).count() == pytest.approx(
         replication_factor(adf_hep) * el.n
     )
 

@@ -1,8 +1,8 @@
-"""DBH / Grid Spark partitioners, oracle-checked end-to-end in DuckDB."""
+"""DBH Spark partitioner, oracle-checked end-to-end in DuckDB."""
 import numpy as np
 import pytest
 
-from repro.core.hashing import _KNUTH, dbh_np, partition_dbh, partition_grid
+from repro.core.hashing import _KNUTH, dbh_np, partition_dbh
 from repro.graphs.generators import to_pandas, to_spark
 from repro.oracle import assert_equivalent
 
@@ -33,26 +33,6 @@ def test_dbh_oracle(spark, k):
     assert_equivalent(partition_dbh(edges, k=k), sql, edges=to_pandas(el))
 
 
-@pytest.mark.parametrize("k", [4, 16])
-def test_grid_oracle(spark, k):
-    el = tiny_graph("TW")
-    edges = to_spark(spark, el)
-    s = int(round(k**0.5))
-    sql = f"""
-        SELECT src, dst,
-               CAST(((src * {_KNUTH}) % 4294967296) % {s} AS BIGINT) * {s}
-             + CAST(((dst * {_KNUTH}) % 4294967296) % {s} AS BIGINT) AS pid
-        FROM edges
-    """
-    assert_equivalent(partition_grid(edges, k=k), sql, edges=to_pandas(el))
-
-
-def test_grid_requires_square_k(spark):
-    el = tiny_graph("TW")
-    with pytest.raises(ValueError):
-        partition_grid(to_spark(spark, el), k=32)
-
-
 @pytest.mark.parametrize("k", [8, 32])
 def test_dbh_spark_matches_numpy(spark, k):
     el = tiny_graph("WI")
@@ -63,31 +43,6 @@ def test_dbh_spark_matches_numpy(spark, k):
     res = dbh_np(el, k=k)
     for s, d, p in res.assignment:
         assert got[(s, d)] == p
-
-
-def test_grid_pids_in_range(spark):
-    el = tiny_graph("LJ")
-    df = partition_grid(to_spark(spark, el), k=16)
-    mx = df.agg({"pid": "max"}).first()[0]
-    mn = df.agg({"pid": "min"}).first()[0]
-    assert 0 <= mn and mx < 16
-
-
-def test_grid_constrains_candidates(spark):
-    """Grid property: each vertex's edges land in ≤ 2·s−1 partitions."""
-    el = tiny_graph("OK")
-    k, s = 16, 4
-    df = partition_grid(to_spark(spark, el), k=k).toPandas()
-    import pandas as pd
-
-    cov = pd.concat(
-        [
-            df[["src", "pid"]].rename(columns={"src": "v"}),
-            df[["dst", "pid"]].rename(columns={"dst": "v"}),
-        ]
-    ).drop_duplicates()
-    per_vertex = cov.groupby("v")["pid"].nunique()
-    assert per_vertex.max() <= 2 * s - 1
 
 
 def test_dbh_hashes_low_degree_endpoint():

@@ -5,11 +5,9 @@ import pytest
 from repro.core.hep import partition_hep
 from repro.core.metrics import (
     assignment_to_spark,
-    covered_vertices,
     edge_balance,
     edge_balance_np,
     replication_factor,
-    replication_factor_np,
     vertex_balance,
     vertex_balance_np,
 )
@@ -36,21 +34,9 @@ def hep_result():
     return partition_hep(tiny_graph("OK"), k=8, tau=2.0)
 
 
-def test_covered_vertices_oracle(spark, hep_result):
-    adf = assignment_to_spark(spark, hep_result)
-    sql = """
-        SELECT DISTINCT pid, v FROM (
-            SELECT pid, src AS v FROM a UNION ALL SELECT pid, dst AS v FROM a
-        )
-    """
-    assert_equivalent(covered_vertices(adf), sql, a=_assignment_pdf(hep_result))
-
-
 def test_replication_factor_spark_vs_np(spark, hep_result):
     adf = assignment_to_spark(spark, hep_result)
-    assert replication_factor(adf) == pytest.approx(
-        replication_factor_np(hep_result)
-    )
+    assert replication_factor(adf) == pytest.approx(hep_result.replication_factor())
 
 
 def test_edge_balance_spark_vs_np(spark, hep_result):

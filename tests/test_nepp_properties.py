@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.common import check_valid
-from repro.core.hep import partition_hep
+from repro.core.hep import _stream_h2h, partition_hep
 from repro.core.ne import partition_ne
 from repro.core.nepp import partition_nepp
 from repro.graphs.csr import build_pruned_csr
@@ -131,8 +131,19 @@ def test_hep_streaming_warm_start_used():
     streaming of the same edges (statistically, fixed seed)."""
     el = tiny_graph("OK")
     k = 16
-    rf_informed = partition_hep(el, k=k, tau=1.0, streaming_method="hdrf").replication_factor()
-    rf_random = partition_hep(el, k=k, tau=1.0, streaming_method="random").replication_factor()
+    rf_informed = partition_hep(el, k=k, tau=1.0).replication_factor()
+    inmem = partition_nepp(el, k=k, tau=1.0)
+    rf_random = _stream_h2h(
+        el,
+        inmem,
+        inmem.stats["h2h"],
+        k=k,
+        tau=1.0,
+        alpha=1.05,
+        method="random",
+        seed=0,
+        t_inmem_s=0.0,
+    ).replication_factor()
     assert rf_informed <= rf_random
 
 

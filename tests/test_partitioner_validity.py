@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.common import check_valid
 from repro.core.hashing import dbh_np
-from repro.core.hep import partition_hep
-from repro.core.hybrid_baseline import partition_simple_hybrid
+from repro.core.hep import partition_hep, partition_simple_hybrid
 from repro.core.ne import partition_ne
 from repro.core.nepp import partition_nepp
 from repro.core.sne import partition_sne
@@ -17,10 +16,6 @@ from repro.core.streaming import partition_streaming
 from .conftest import TEST_GRAPHS, path_graph, star_graph, tiny_graph, two_triangles
 
 KS = (4, 8, 32)
-
-
-def hep_full(el, k, tau):
-    return partition_hep(el, k=k, tau=tau)
 
 
 PARTITIONERS = {
