@@ -1,7 +1,7 @@
 """Partitioner cores: HEP (NE++ + informed HDRF) and every baseline of
-the paper's evaluation tables, plus metrics and the §4.2 memory model."""
+the paper's evaluation tables, plus the §4.2 memory model."""
 from .common import PartitionResult, check_valid  # noqa: F401
-from .hashing import dbh_np, partition_dbh  # noqa: F401
+from .hashing import dbh_np  # noqa: F401
 from .hep import partition_hep, partition_simple_hybrid  # noqa: F401
 from .ne import partition_ne  # noqa: F401
 from .nepp import partition_nepp  # noqa: F401

@@ -16,8 +16,9 @@ class PartitionResult:
     rows, one per input edge, with ``(src, dst)`` in the input edge
     list's orientation. ``replicas`` is the ``(k, n)`` boolean covered-
     vertex matrix maintained by the partitioner itself (used to seed
-    HEP's informed streaming); metrics recompute coverage from
-    ``assignment`` so the two can be cross-checked in tests.
+    HEP's informed streaming); the quality metrics below recompute
+    coverage from ``assignment`` so the two can be cross-checked in
+    tests.
     """
 
     assignment: np.ndarray
@@ -43,6 +44,16 @@ class PartitionResult:
         cov = self.covered()
         nv = len(np.unique(self.assignment[:, :2]))
         return float(cov.sum() / nv)
+
+    def edge_balance(self) -> float:
+        """max_i |p_i| / (|E|/k) — 1.0 is perfect balance."""
+        return float(self.sizes.max()) / (self.assignment.shape[0] / self.k)
+
+    def vertex_balance(self) -> float:
+        """Std-deviation / average of per-partition covered-vertex counts
+        (Table 5's metric; population std over the k partitions)."""
+        per = self.covered().sum(axis=1).astype(np.float64)
+        return float(per.std() / per.mean())
 
 
 def assignment_array(src, dst, pid) -> np.ndarray:

@@ -25,7 +25,7 @@ from ..graphs.generators import EdgeList
 from .common import PartitionResult, assignment_array
 from .ne import partition_ne
 from .nepp import partition_nepp
-from .streaming import StreamState, stream_edges
+from .streaming import ALPHA, StreamState, stream_edges
 
 
 def partition_hep(
@@ -33,9 +33,6 @@ def partition_hep(
     *,
     k: int,
     tau: float,
-    alpha: float = 1.05,
-    lam: float = 1.1,
-    seed: int = 0,
     csr: CSR | None = None,
 ) -> PartitionResult:
     """Run full HEP (NE++ then informed HDRF streaming) at threshold ``tau``."""
@@ -47,33 +44,26 @@ def partition_hep(
         inmem.stats["h2h"],
         k=k,
         tau=tau,
-        alpha=alpha,
         method="hdrf",
-        lam=lam,
-        seed=seed,
         t_inmem_s=time.perf_counter() - t0,
     )
 
 
-def partition_simple_hybrid(
-    el: EdgeList, *, k: int, tau: float, alpha: float = 1.05, seed: int = 0
-) -> PartitionResult:
+def partition_simple_hybrid(el: EdgeList, *, k: int, tau: float) -> PartitionResult:
     """NE on G_REST + random streaming on G_H2H at threshold ``tau``."""
     t0 = time.perf_counter()
     high = high_mask_np(el.degrees().astype(np.int64), tau)
     rest, h2h = split_edges_np(el, high)
     # NE runs on the rest-subgraph; vertex ids are shared with el so no
     # relabeling is needed (isolated ids simply never appear).
-    inmem = partition_ne(EdgeList(edges=rest.copy(), n=el.n), k=k, seed=seed)
+    inmem = partition_ne(EdgeList(edges=rest.copy(), n=el.n), k=k)
     return _stream_h2h(
         el,
         inmem,
         h2h,
         k=k,
         tau=tau,
-        alpha=alpha,
         method="random",
-        seed=seed,
         t_inmem_s=time.perf_counter() - t0,
     )
 
@@ -85,10 +75,7 @@ def _stream_h2h(
     *,
     k: int,
     tau: float,
-    alpha: float,
     method: str,
-    lam: float = 1.1,
-    seed: int,
     t_inmem_s: float,
 ) -> PartitionResult:
     """Phase 2: stream ``h2h`` into the state the in-memory phase left.
@@ -99,15 +86,13 @@ def _stream_h2h(
     """
     t1 = time.perf_counter()
     state = StreamState(el.n, k, replicas=inmem.replicas, sizes=inmem.sizes)
-    cap = max(1, int(np.ceil(alpha * el.m / k)))
+    cap = max(1, int(np.ceil(ALPHA * el.m / k)))
     pids = stream_edges(
         h2h.astype(np.int64),
         state=state,
         degrees=el.degrees(),
         cap=cap,
         method=method,
-        lam=lam,
-        seed=seed,
     )
     t_stream_s = time.perf_counter() - t1
     assignment = inmem.assignment

@@ -20,26 +20,25 @@ from ..graphs.csr import ID_BYTES
 from ..graphs.degrees import high_mask_np
 
 
+def hep_fixed_bytes(n: int, *, k: int) -> int:
+    """§4.2's τ-independent terms: 6·|V|·b_id + ⌈|V|·(k+1)/8⌉."""
+    return 6 * n * ID_BYTES + -(-n * (k + 1) // 8)
+
+
 def hep_footprint_bytes(deg: np.ndarray, *, tau: float, k: int) -> int:
     """§4.2 formula for HEP at threshold τ with k partitions."""
-    n = len(deg)
     high = high_mask_np(deg.astype(np.int64), tau)
     col = int(deg[~high].sum()) * ID_BYTES
-    fixed = 6 * n * ID_BYTES
-    bitsets = int(np.ceil(n * (k + 1) / 8))
-    return col + fixed + bitsets
+    return col + hep_fixed_bytes(len(deg), k=k)
 
 
 def ne_footprint_bytes(deg: np.ndarray, *, k: int) -> int:
     """NE baseline: full column array + eager per-edge validity array."""
-    n = len(deg)
     m = int(deg.sum()) // 2
     col = int(deg.sum()) * ID_BYTES  # 2·|E| entries
     eids = int(deg.sum()) * 8  # parallel 64-bit edge-id array
     valid = m  # 1 byte per edge
-    fixed = 6 * n * ID_BYTES
-    bitsets = int(np.ceil(n * (k + 1) / 8))
-    return col + eids + valid + fixed + bitsets
+    return col + eids + valid + hep_fixed_bytes(len(deg), k=k)
 
 
 def streaming_footprint_bytes(n: int, *, k: int) -> int:

@@ -20,6 +20,8 @@ from ..graphs.generators import EdgeList
 from .common import PartitionResult, assignment_array
 
 _EPS = 1.0  # ε in HDRF's balance term
+_LAMBDA = 1.1  # λ, HDRF's balance weight (Appendix A)
+ALPHA = 1.05  # α, the balance bound |p_i| ≤ α·|E|/k (Appendix A)
 
 
 class StreamState:
@@ -46,7 +48,6 @@ def stream_edges(
     degrees: np.ndarray,
     cap: int,
     method: str = "hdrf",
-    lam: float = 1.1,
     seed: int = 0,
 ) -> np.ndarray:
     """Assign ``edges`` (m,2) one at a time; returns (m,) pid array.
@@ -72,7 +73,7 @@ def stream_edges(
             theta_u = du / tot if tot else 0.5
             c_rep = replicas[:, u] * (2.0 - theta_u) + replicas[:, v] * (1.0 + theta_u)
             mx, mn = sizes.max(), sizes.min()
-            c_bal = lam * (mx - sizes) / (_EPS + mx - mn)
+            c_bal = _LAMBDA * (mx - sizes) / (_EPS + mx - mn)
             score = np.where(open_, c_rep + c_bal, -np.inf)
             best = score.max()
             p = _choose_balanced(np.flatnonzero(score == best), sizes)
@@ -103,8 +104,7 @@ def partition_streaming(
     *,
     k: int,
     method: str = "hdrf",
-    alpha: float = 1.05,
-    lam: float = 1.1,
+    alpha: float = ALPHA,
     seed: int = 0,
 ) -> PartitionResult:
     """Stand-alone streaming partitioner over the full edge list (the
@@ -117,7 +117,6 @@ def partition_streaming(
         degrees=el.degrees(),
         cap=cap,
         method=method,
-        lam=lam,
         seed=seed,
     )
     assignment = assignment_array(el.edges[:, 0], el.edges[:, 1], pids)

@@ -18,9 +18,9 @@ paper's processing-time differences come from, and gasx reports it next
 to wall time (DESIGN.md substitution 2).
 
 Input everywhere: an assignment DataFrame(src, dst, pid) as produced by
-:func:`repro.core.metrics.assignment_to_spark` or the hashing
-partitioners. Graphs are undirected: edges are symmetrized (each copy
-stays in its partition) before messaging.
+:func:`repro.core.metrics.assignment_to_spark`. Graphs are
+undirected: edges are symmetrized (each copy stays in its partition)
+before messaging.
 """
 from __future__ import annotations
 

@@ -6,9 +6,11 @@ and low-degree, then partitions the edge set into
 * ``E_h2h`` — both endpoints high-degree → streaming phase, and
 * ``E \\ E_h2h`` — at least one low endpoint → in-memory NE++ phase.
 
-Each function has a numpy twin (suffix ``_np``) used by the driver-side
-partitioner cores; tests assert Spark and numpy agree and oracle-check
-the Spark jobs against DuckDB SQL.
+``degrees_df`` also feeds the τ footprint sweep (:mod:`repro.tau`). The
+driver-side partitioner cores classify and split with the two numpy
+functions at the bottom (``high_mask_np``, ``split_edges_np``; per-vertex
+degrees come from ``EdgeList.degrees``). Tests assert numpy and Spark
+agree and oracle-check the Spark jobs against DuckDB SQL.
 """
 from __future__ import annotations
 

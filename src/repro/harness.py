@@ -20,11 +20,7 @@ from .core.memory_model import (
     ne_footprint_bytes,
     streaming_footprint_bytes,
 )
-from .core.metrics import (
-    assignment_to_spark,
-    edge_balance_np,
-    vertex_balance_np,
-)
+from .core.metrics import assignment_to_spark
 from .core.ne import partition_ne
 from .core.sne import partition_sne
 from .core.streaming import partition_streaming
@@ -209,7 +205,7 @@ def run_table5(
                 dict(
                     graph=gname,
                     partitioner=f"HEP-{tau:g}",
-                    vertex_balance=round(vertex_balance_np(res), 3),
+                    vertex_balance=round(res.vertex_balance(), 3),
                     rf=round(res.replication_factor(), 3),
                 )
             )
@@ -274,7 +270,7 @@ def run_fig8(
                     partitioner=pname,
                     rf=round(res.replication_factor(), 3),
                     seconds=round(t, 3),
-                    balance=round(edge_balance_np(res), 3),
+                    balance=round(res.edge_balance(), 3),
                     mem_model_mib=round(footprint_model(pname, el, k=k) / 2**20, 3),
                 )
             )

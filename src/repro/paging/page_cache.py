@@ -65,14 +65,12 @@ def run_nepp_paged(el, *, k: int, tau: float, limit_bytes: int) -> PagingRun:
     ``limit_bytes`` minus the fixed §4.2 structures."""
     import time
 
-    from ..core.memory_model import hep_footprint_bytes
+    from ..core.memory_model import hep_fixed_bytes
     from ..core.nepp import partition_nepp
     from ..graphs.csr import build_pruned_csr
 
-    deg = el.degrees().astype("int64")
     # only the column array pages; the §4.2 fixed structures are pinned
-    fixed = hep_footprint_bytes(deg, tau=tau, k=k) - _col_bytes(deg, tau)
-    cache = LruPageCache(max(PAGE_SIZE, limit_bytes - fixed))
+    cache = LruPageCache(max(PAGE_SIZE, limit_bytes - hep_fixed_bytes(el.n, k=k)))
     csr = build_pruned_csr(el, tau=tau)
     csr.touch = cache.touch
     t0 = time.perf_counter()
@@ -85,11 +83,3 @@ def run_nepp_paged(el, *, k: int, tau: float, limit_bytes: int) -> PagingRun:
         compute_s=compute,
         modeled_runtime_s=compute + cache.hard_faults * SSD_FAULT_SECONDS,
     )
-
-
-def _col_bytes(deg, tau: float) -> int:
-    from ..graphs.csr import ID_BYTES
-    from ..graphs.degrees import high_mask_np
-
-    high = high_mask_np(deg, tau)
-    return int(deg[~high].sum()) * ID_BYTES

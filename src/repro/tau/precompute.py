@@ -12,10 +12,10 @@ per τ candidate, all computed in a single aggregation.
 """
 from __future__ import annotations
 
-import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..core.memory_model import hep_fixed_bytes
 from ..graphs.csr import ID_BYTES
 from ..graphs.degrees import degrees_df, mean_degree
 
@@ -36,7 +36,7 @@ def footprint_sweep(
         for i, tau in enumerate(taus)
     ]
     row = deg.agg(*aggs).first()
-    fixed = 6 * n * ID_BYTES + int(np.ceil(n * (k + 1) / 8))
+    fixed = hep_fixed_bytes(n, k=k)
     return [
         (tau, int(row[f"t{i}"]) * ID_BYTES + fixed) for i, tau in enumerate(taus)
     ]

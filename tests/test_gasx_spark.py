@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.hashing import dbh_np, partition_dbh
+from repro.core.hashing import dbh_np
 from repro.core.hep import partition_hep
 from repro.core.metrics import assignment_to_spark
 from repro.gasx.algorithms import bfs, connected_components, pagerank
@@ -25,13 +25,23 @@ def el():
 
 
 @pytest.fixture(scope="module")
-def adf_hep(spark, el):
-    return assignment_to_spark(spark, partition_hep(el, k=4, tau=10.0)).cache()
+def hep(el):
+    return partition_hep(el, k=4, tau=10.0)
 
 
 @pytest.fixture(scope="module")
-def adf_dbh(spark, el):
-    return assignment_to_spark(spark, dbh_np(el, k=4)).cache()
+def dbh(el):
+    return dbh_np(el, k=4)
+
+
+@pytest.fixture(scope="module")
+def adf_hep(spark, hep):
+    return assignment_to_spark(spark, hep).cache()
+
+
+@pytest.fixture(scope="module")
+def adf_dbh(spark, dbh):
+    return assignment_to_spark(spark, dbh).cache()
 
 
 def test_symmetrize_doubles_edges(adf_hep, el):
@@ -42,12 +52,10 @@ def test_vertices_count(adf_hep, el):
     assert vertices(adf_hep).count() == el.n
 
 
-def test_comm_volume_equals_rf_times_v(spark, el, adf_hep):
+def test_comm_volume_equals_rf_times_v(el, hep, adf_hep):
     """Σ|V(p_i)| — the engine's replica table IS the RF numerator."""
-    from repro.core.metrics import replication_factor
-
     assert replica_table(adf_hep).count() == pytest.approx(
-        replication_factor(adf_hep) * el.n
+        hep.replication_factor() * el.n
     )
 
 
@@ -83,12 +91,10 @@ def test_pagerank_partitioning_invariant(el, adf_hep, adf_dbh):
         assert m1[v] == pytest.approx(m2[v], abs=1e-9)
 
 
-def test_pagerank_comm_tracks_partition_quality(el, adf_hep, adf_dbh):
+def test_pagerank_comm_tracks_partition_quality(hep, dbh, adf_hep, adf_dbh):
     """Lower replication factor ⇒ lower per-iteration sync volume —
     the mechanism behind Table 4's processing times."""
-    from repro.core.metrics import replication_factor
-
-    if replication_factor(adf_hep) < replication_factor(adf_dbh) * 0.95:
+    if hep.replication_factor() < dbh.replication_factor() * 0.95:
         _, s_hep = pagerank(adf_hep, n_iter=2)
         _, s_dbh = pagerank(adf_dbh, n_iter=2)
         assert s_hep.comm_rows < s_dbh.comm_rows
@@ -125,12 +131,3 @@ def test_cc_partitioning_invariant(spark):
     lbl, _ = connected_components(a1)
     got = {r["v"]: r["lbl"] for r in lbl.collect()}
     assert got == {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 3}
-
-
-def test_spark_dbh_assignment_feeds_gasx(spark, el):
-    """End-to-end: Spark-native DBH output drives gasx directly."""
-    from repro.graphs.generators import to_spark
-
-    adf = partition_dbh(to_spark(spark, el), k=4)
-    ranks, _ = pagerank(adf, n_iter=1)
-    assert ranks.count() == el.n

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.memory_model import (
+    hep_fixed_bytes,
     hep_footprint_bytes,
     ne_footprint_bytes,
     streaming_footprint_bytes,
@@ -36,6 +37,9 @@ def test_footprint_formula_terms():
     k = 7
     want = 12 * ID_BYTES + 6 * 4 * ID_BYTES + int(np.ceil(4 * 8 / 8))
     assert hep_footprint_bytes(deg, tau=100.0, k=k) == want
+    # the τ-independent terms, with the bitset bytes rounded up
+    assert hep_fixed_bytes(4, k=k) == 6 * 4 * ID_BYTES + 4
+    assert hep_fixed_bytes(3, k=2) == 6 * 3 * ID_BYTES + 2
 
 
 def test_footprint_column_term_matches_pruned_csr():
@@ -101,3 +105,10 @@ def test_paged_nepp_zero_faults_with_slack():
     r = run_nepp_paged(el, k=8, tau=100.0, limit_bytes=full * 4)
     assert r.hard_faults == 0
     assert r.modeled_runtime_s == pytest.approx(r.compute_s)
+    # Table 6's cache capacity is the limit minus the §4.2 fixed terms;
+    # these counts pin it (a shifted capacity changes the fault count).
+    faults = [
+        run_nepp_paged(el, k=8, tau=100.0, limit_bytes=int(full * f)).hard_faults
+        for f in (1.0, 0.5)
+    ]
+    assert faults == [0, 748]

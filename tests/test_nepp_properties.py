@@ -139,9 +139,7 @@ def test_hep_streaming_warm_start_used():
         inmem.stats["h2h"],
         k=k,
         tau=1.0,
-        alpha=1.05,
         method="random",
-        seed=0,
         t_inmem_s=0.0,
     ).replication_factor()
     assert rf_informed <= rf_random

@@ -1,46 +1,8 @@
-"""Exercise the provided TPC-H-lite generators + oracle wiring, and the
-graph-corpus extension point of synth_data (repro instructions)."""
+"""The graph corpus that synth_data re-exports, oracle-checked."""
 from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.oracle import assert_equivalent
-
-
-def test_lineitem_aggregate_oracle(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(
-        F.count("*").alias("cnt"), F.round(F.sum("l_quantity"), 4).alias("qty")
-    )
-    sql = """
-        SELECT l_returnflag, count(*) AS cnt,
-               round(sum(l_quantity), 4) AS qty
-        FROM lineitem GROUP BY l_returnflag
-    """
-    assert_equivalent(got, sql, lineitem=li)
-
-
-def test_orders_join_oracle(spark):
-    o = synth_data.orders(spark, sf=0.001)
-    c = synth_data.customer(spark, sf=0.001)
-    got = (
-        o.join(c, o.o_custkey == c.c_custkey)
-        .groupBy("c_mktsegment")
-        .agg(F.count("*").alias("cnt"))
-    )
-    sql = """
-        SELECT c_mktsegment, count(*) AS cnt
-        FROM orders JOIN customer ON o_custkey = c_custkey
-        GROUP BY c_mktsegment
-    """
-    assert_equivalent(got, sql, orders=o, customer=c)
-
-
-def test_zipf_keys_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=100)
-    top = (
-        df.groupBy("k").count().orderBy(F.desc("count")).limit(1).first()["count"]
-    )
-    assert top > 5000 / 100 * 3  # heavy head
 
 
 def test_graph_reexport(spark):
