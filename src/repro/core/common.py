@@ -15,8 +15,10 @@ class PartitionResult:
     ``assignment`` is an ``(m, 3)`` int64 array of ``(src, dst, pid)``
     rows, one per input edge, with ``(src, dst)`` in the input edge
     list's orientation. ``replicas`` is the ``(k, n)`` boolean covered-
-    vertex matrix maintained by the partitioner itself (used to seed
-    HEP's informed streaming); the quality metrics below recompute
+    vertex matrix maintained by the partitioner itself: NE++ and NE fill
+    it to seed the hybrids' informed streaming phase, and the streaming
+    partitioners and both hybrids return their stream state in it. DBH
+    and SNE leave it ``None``. The quality metrics below recompute
     coverage from ``assignment`` so the two can be cross-checked in
     tests.
     """

@@ -25,8 +25,4 @@ def dbh_np(el: EdgeList, *, k: int) -> PartitionResult:
     use_src = (deg[src] < deg[dst]) | ((deg[src] == deg[dst]) & (src < dst))
     picked = np.where(use_src, src, dst)
     pid = ((picked * _KNUTH) % 4294967296) % k
-    assignment = assignment_array(src, dst, pid)
-    cov = np.zeros((k, el.n), dtype=bool)
-    cov[pid, src] = True
-    cov[pid, dst] = True
-    return PartitionResult(assignment=assignment, k=k, n=el.n, replicas=cov, stats={})
+    return PartitionResult(assignment=assignment_array(src, dst, pid), k=k, n=el.n)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..graphs.csr import CSR, build_pruned_csr
 from ..graphs.generators import EdgeList
-from .common import PartitionResult, assignment_array
+from .common import PartitionResult
 
 
 def partition_nepp(
@@ -62,23 +62,20 @@ def partition_nepp(
     replicas = np.zeros((k, n), dtype=bool)
     d_ext = np.zeros(n, dtype=np.int64)
     sizes = np.zeros(k, dtype=np.int64)
-    a_src: list[np.ndarray] = []
-    a_dst: list[np.ndarray] = []
-    assigned_total = 0
+    assignment = np.empty((m_inmem, 3), dtype=np.int64)
+    assigned_total = 0  # also the write cursor into ``assignment``
     cleaned_entries = 0
     seed_ptr = 0
 
-    a_runs: list[tuple[int, int]] = []  # (pid, run length): expanded at the end
-
-    def record(u_arr: np.ndarray, v_arr: np.ndarray, pid: int) -> None:
+    def record(count: int, pid: int) -> np.ndarray:
+        """Give the next ``count`` rows of ``assignment`` to ``pid`` and
+        return them; the caller writes their (src, dst)."""
         nonlocal assigned_total
-        if len(u_arr) == 0:
-            return
-        a_src.append(np.asarray(u_arr, dtype=np.int64))
-        a_dst.append(np.asarray(v_arr, dtype=np.int64))
-        a_runs.append((pid, len(u_arr)))
-        sizes[pid] += len(u_arr)
-        assigned_total += len(u_arr)
+        rows = assignment[assigned_total : assigned_total + count]
+        rows[:, 2] = pid
+        sizes[pid] += count
+        assigned_total += count
+        return rows
 
     def assign_split(v: int, w_out: np.ndarray, w_in: np.ndarray, i: int) -> None:
         """Assign the edges between vertex ``v`` and its already-covered
@@ -92,31 +89,31 @@ def partition_nepp(
         no, ni = len(w_out), len(w_in)
         if no + ni == 0:
             return
-        us = np.empty(no + ni, dtype=np.int64)
-        vs = np.empty(no + ni, dtype=np.int64)
-        us[:no] = v
-        vs[:no] = w_out
-        us[no:] = w_in
-        vs[no:] = v
+        # (src, dst) go in place at the cursor; record() then hands each
+        # run of these rows to its partition
+        rows = assignment[assigned_total : assigned_total + no + ni]
+        rows[:no, 0] = v
+        rows[:no, 1] = w_out
+        rows[no:, 0] = w_in
+        rows[no:, 1] = v
         pos, j = 0, i
-        while pos < len(us):
+        while pos < len(rows):
             if j >= k - 1:
                 j = k - 1
-                take = len(us) - pos
+                take = len(rows) - pos
             else:
                 room = int(cap - sizes[j])
                 if room <= 0:
                     j += 1
                     continue
-                take = min(room, len(us) - pos)
-            seg_u, seg_v = us[pos : pos + take], vs[pos : pos + take]
-            record(seg_u, seg_v, j)
+                take = min(room, len(rows) - pos)
+            seg = record(take, j)
             # mark both endpoints replicated on j — this also covers
             # high-degree endpoints, whose a-priori S_i membership is
             # never materialized by the move functions, and spilled
             # endpoints joining S_{i+1}
-            replicas[j, seg_u] = True
-            replicas[j, seg_v] = True
+            replicas[j, seg[:, 0]] = True
+            replicas[j, seg[:, 1]] = True
             pos += take
 
     for i in range(k - 1):
@@ -207,26 +204,22 @@ def partition_nepp(
     for v in np.flatnonzero(~high & ~core & nonempty).tolist():
         out_nb = csr.out_neighbors(v).astype(np.int64)
         if len(out_nb):
-            record(np.full(len(out_nb), v, dtype=np.int64), out_nb, last)
+            rows = record(len(out_nb), last)
+            rows[:, 0] = v
+            rows[:, 1] = out_nb
             replicas[last, v] = True
             replicas[last, out_nb] = True
         in_nb = csr.in_neighbors(v).astype(np.int64)
         in_high = in_nb[high[in_nb]]
         if len(in_high):
-            record(in_high, np.full(len(in_high), v, dtype=np.int64), last)
+            rows = record(len(in_high), last)
+            rows[:, 0] = in_high
+            rows[:, 1] = v
             replicas[last, v] = True
             replicas[last, in_high] = True
 
-    pids = np.repeat(
-        np.array([p for p, _ in a_runs], dtype=np.int64),
-        np.array([c for _, c in a_runs], dtype=np.int64),
-    )
-    no_edges = [np.empty(0, dtype=np.int64)]
-    assignment = assignment_array(
-        np.concatenate(a_src or no_edges), np.concatenate(a_dst or no_edges), pids
-    )
     return PartitionResult(
-        assignment=assignment,
+        assignment=assignment[:assigned_total],
         k=k,
         n=n,
         replicas=replicas,

@@ -30,7 +30,6 @@ def partition_sne(
     buf_cap = max(cap, int(sample_size * cap))
     edges = el.edges
     pid_of = np.full(m, -1, dtype=np.int64)
-    replicas = np.zeros((k, n), dtype=bool)
     adj: dict[int, set[int]] = {}
     buffered = 0
     stream_pos = 0
@@ -77,14 +76,11 @@ def partition_sne(
                 return False
             pid_of[e] = i
             size_i += 1
-            replicas[i, u] = True
-            replicas[i, v] = True
             remove_edge(e, u, v)
             return True
 
-        def move_to_secondary(u: int, i: int = i) -> None:
+        def move_to_secondary(u: int) -> None:
             sec.add(u)
-            replicas[i, u] = True
             ext = 0
             for e in list(adj.get(u, ())):
                 w = other(e, u)
@@ -133,9 +129,6 @@ def partition_sne(
     last = k - 1
     rest = np.flatnonzero(pid_of < 0)
     pid_of[rest] = last
-    if len(rest):
-        replicas[last, edges[rest, 0]] = True
-        replicas[last, edges[rest, 1]] = True
 
     assignment = assignment_array(edges[:, 0], edges[:, 1], pid_of)
-    return PartitionResult(assignment=assignment, k=k, n=n, replicas=replicas, stats={"sample_size": sample_size})
+    return PartitionResult(assignment=assignment, k=k, n=n, stats={"sample_size": sample_size})

@@ -6,10 +6,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
-from .engine import symmetrize, two_stage_agg, vertices
+from .engine import observed_rows, symmetrize, two_stage_agg, vertices
 
 
 @dataclass
@@ -32,23 +32,19 @@ def pagerank(assignment: DataFrame, *, n_iter: int = 10, beta: float = 0.85) -> 
     sym_deg = sym.join(outdeg, "src").localCheckpoint()
     verts = vertices(assignment).localCheckpoint()
     ranks = verts.withColumn("rank", F.lit(1.0))
+    rank = F.lit(1 - beta) + F.lit(beta) * F.coalesce("contrib", F.lit(0.0))
     comm = 0
     for _ in range(n_iter):
         msgs = sym_deg.join(ranks, sym_deg.src == ranks.v).select(
             "pid", "dst", (F.col("rank") / F.col("outdeg")).alias("contrib")
         )
-        total, rows = two_stage_agg(msgs, "contrib", "sum")
-        comm += rows
+        total, sync = two_stage_agg(msgs, "contrib", "sum")
         ranks = (
             verts.join(total, verts.v == total.dst, "left")
-            .select(
-                "v",
-                (
-                    F.lit(1 - beta) + F.lit(beta) * F.coalesce("contrib", F.lit(0.0))
-                ).alias("rank"),
-            )
+            .select("v", rank.alias("rank"))
             .localCheckpoint()
         )
+        comm += observed_rows(sync)
     return ranks, RunStats(n_iter, comm, time.perf_counter() - t0)
 
 
@@ -60,24 +56,24 @@ def bfs(assignment: DataFrame, *, source: int, max_iter: int = 50) -> tuple[Data
     spark = assignment.sparkSession
     dist = spark.createDataFrame([(source, 0)], ["v", "dist"]).localCheckpoint()
     frontier = dist
-    comm = 0
-    it = 0
+    comm = it = 0
     while it < max_iter:
         it += 1
         msgs = sym.join(frontier, sym.src == frontier.v).select(
             "pid", "dst", (F.col("dist") + 1).alias("cand")
         )
-        total, rows = two_stage_agg(msgs, "cand", "min")
-        comm += rows
+        total, sync = two_stage_agg(msgs, "cand", "min")
+        reached = Observation()
         new = (
             total.join(dist, total.dst == dist.v, "left_anti")
             .select(F.col("dst").alias("v"), F.col("cand").alias("dist"))
+            .observe(reached, F.count(F.lit(1)).alias("rows"))
             .localCheckpoint()
         )
-        if new.count() == 0:
+        comm += observed_rows(sync)
+        if observed_rows(reached) == 0:
             break
-        dist = dist.unionAll(new).localCheckpoint()
-        frontier = new
+        dist, frontier = dist.unionAll(new), new  # each part is checkpointed
     return dist, RunStats(it, comm, time.perf_counter() - t0)
 
 
@@ -88,22 +84,21 @@ def connected_components(assignment: DataFrame, *, max_iter: int = 50) -> tuple[
     t0 = time.perf_counter()
     sym = symmetrize(assignment).localCheckpoint()
     labels = vertices(assignment).withColumn("lbl", F.col("v")).localCheckpoint()
-    comm = 0
-    it = 0
+    comm = it = 0
     while it < max_iter:
         it += 1
         msgs = sym.join(labels, sym.src == labels.v).select(
             "pid", "dst", F.col("lbl").alias("cand")
         )
-        total, rows = two_stage_agg(msgs, "cand", "min")
-        comm += rows
-        merged = labels.join(total, labels.v == total.dst, "left").select(
-            "v",
-            F.least(F.col("lbl"), F.coalesce("cand", F.col("lbl"))).alias("new_lbl"),
-            F.col("lbl").alias("old_lbl"),
-        ).localCheckpoint()
-        changed = merged.where(F.col("new_lbl") < F.col("old_lbl")).count()
-        labels = merged.select("v", F.col("new_lbl").alias("lbl")).localCheckpoint()
-        if changed == 0:
+        total, sync = two_stage_agg(msgs, "cand", "min")
+        changed = Observation()
+        labels = (
+            labels.join(total, labels.v == total.dst, "left")
+            .observe(changed, F.count(F.when(F.col("cand") < F.col("lbl"), 1)).alias("rows"))
+            .select("v", F.least("lbl", "cand").alias("lbl"))  # least skips a null cand
+            .localCheckpoint()
+        )
+        comm += observed_rows(sync)
+        if observed_rows(changed) == 0:
             break
     return labels, RunStats(it, comm, time.perf_counter() - t0)

@@ -14,8 +14,8 @@ real cluster:
 Stage 2's row count per iteration is exactly the number of (partition,
 vertex) replica pairs that carry messages — bounded by Σ_i |V(p_i)| =
 RF·|V|. That count is the machine-independent communication volume the
-paper's processing-time differences come from, and gasx reports it next
-to wall time (DESIGN.md substitution 2).
+paper's processing-time differences come from; gasx observes it on each
+superstep's one Spark action (DESIGN.md substitution 2).
 
 Input everywhere: an assignment DataFrame(src, dst, pid) as produced by
 :func:`repro.core.metrics.assignment_to_spark`. Graphs are
@@ -24,7 +24,7 @@ before messaging.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
 
@@ -59,16 +59,21 @@ def replica_table(assignment: DataFrame) -> DataFrame:
     )
 
 
-def two_stage_agg(msgs: DataFrame, agg_col: str, how: str) -> tuple[DataFrame, int]:
+def two_stage_agg(msgs: DataFrame, agg_col: str, how: str) -> tuple[DataFrame, Observation]:
     """The engine kernel: local per-(pid, dst) combine, then global
-    per-dst combine. Returns (DataFrame(dst, <agg_col>), partial_rows)
-    where partial_rows is this iteration's replica-sync volume.
-    ``how`` is "sum" or "min".
+    per-dst combine. Lazy: returns (DataFrame(dst, <agg_col>), obs), where
+    ``obs`` counts the partial rows, this iteration's replica-sync volume,
+    on the action that runs the plan. ``how`` is "sum" or "min".
     """
     fn = F.sum if how == "sum" else F.min
-    partial = (
-        msgs.groupBy("pid", "dst").agg(fn(agg_col).alias(agg_col)).localCheckpoint()
-    )
-    rows = partial.count()
-    total = partial.groupBy("dst").agg(fn(agg_col).alias(agg_col))
-    return total, rows
+    obs = Observation()
+    partial = msgs.groupBy("pid", "dst").agg(fn(agg_col).alias(agg_col))
+    partial = partial.observe(obs, F.count(F.lit(1)).alias("rows"))
+    return partial.groupBy("dst").agg(fn(agg_col).alias(agg_col)), obs
+
+
+def observed_rows(obs: Observation) -> int:
+    """``obs``'s "rows" after its action. Adaptive execution prunes a plan
+    whose input turned out empty, observer included: that is zero rows
+    (``obs.get`` fails on the missing metric, hence the JVM-side map)."""
+    return int(obs._jo.getAsJava().getOrDefault("rows", 0))

@@ -7,8 +7,9 @@ terms, and picks the largest τ that fits. The paper reports this step's
 run-time per graph (Table 2) and argues it is negligible next to
 partitioning; our Table 2 bench measures the same.
 
-The sweep is one Spark pass over the degree table: a conditional sum
-per τ candidate, all computed in a single aggregation.
+The sweep reads the degree table twice: once for the mean degree and
+the id space, then once for a conditional sum per τ candidate, all
+computed in a single aggregation.
 """
 from __future__ import annotations
 
@@ -17,16 +18,23 @@ from pyspark.sql import functions as F
 
 from ..core.memory_model import hep_fixed_bytes
 from ..graphs.csr import ID_BYTES
-from ..graphs.degrees import degrees_df, mean_degree
+from ..graphs.degrees import degrees_df
 
 
 def footprint_sweep(
     edges: DataFrame, *, taus: list[float], k: int
 ) -> list[tuple[float, int]]:
-    """[(τ, modeled HEP footprint in bytes)] via one Spark aggregation."""
+    """[(τ, modeled HEP footprint in bytes)]: one Spark aggregation for
+    the mean degree and the id space, then one for every τ at once.
+
+    |V| in the fixed terms is the id space max(v) + 1, as in
+    :func:`~repro.core.memory_model.hep_footprint_bytes` and the pruned
+    CSR. Ids above the largest endpoint cannot be seen from an edge
+    DataFrame, so a graph whose highest ids are isolated is undercounted.
+    """
     deg = degrees_df(edges).localCheckpoint()
-    mean = mean_degree(deg)
-    n = deg.count()
+    mean, top = deg.agg(F.avg("degree"), F.max("v")).first()
+    n = int(top) + 1
     aggs = [
         F.sum(
             F.when(F.col("degree") <= F.lit(tau * mean), F.col("degree")).otherwise(

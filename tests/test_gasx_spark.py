@@ -77,7 +77,8 @@ def test_pagerank_matches_reference(el, adf_hep):
     for r in ranks.collect():
         assert r["rank"] == pytest.approx(ref[r["v"]], abs=1e-9)
     assert stats.iterations == 3
-    assert stats.comm_rows > 0
+    # every replica pair receives a message in every iteration
+    assert stats.comm_rows == 3 * replica_table(adf_hep).count()
 
 
 def test_pagerank_partitioning_invariant(el, adf_hep, adf_dbh):
@@ -100,14 +101,25 @@ def test_pagerank_comm_tracks_partition_quality(hep, dbh, adf_hep, adf_dbh):
         assert s_hep.comm_rows < s_dbh.comm_rows
 
 
-def test_bfs_matches_reference(el, adf_hep):
+def test_bfs_matches_reference(el, hep, adf_hep):
     dist, stats = bfs(adf_hep, source=0)
     ref = bfs_ref(el, source=0)
     got = {r["v"]: r["dist"] for r in dist.collect()}
     assert len(got) == int((ref >= 0).sum())
     for v, d in got.items():
         assert ref[v] == d
-    assert stats.comm_rows > 0
+    # level d ships one row per distinct (pid, dst) reached from a
+    # vertex at distance d; the last level finds nothing new
+    a = hep.assignment
+    pid = np.concatenate([a[:, 2], a[:, 2]])
+    src = np.concatenate([a[:, 0], a[:, 1]])
+    dst = np.concatenate([a[:, 1], a[:, 0]])
+    want = sum(
+        len(np.unique(pid[ref[src] == d] * el.n + dst[ref[src] == d]))
+        for d in range(ref.max() + 1)
+    )
+    assert stats.iterations == ref.max() + 1
+    assert stats.comm_rows == want
 
 
 def test_bfs_source_only_component(spark):
@@ -116,6 +128,11 @@ def test_bfs_source_only_component(spark):
     dist, _ = bfs(adf, source=3)
     got = {r["v"]: r["dist"] for r in dist.collect()}
     assert got == {3: 0, 4: 1, 5: 1}
+    # a source without edges sends nothing: Spark prunes the empty
+    # aggregation, observer included, and that counts as zero rows
+    dist, stats = bfs(adf, source=9)
+    assert {r["v"]: r["dist"] for r in dist.collect()} == {9: 0}
+    assert (stats.iterations, stats.comm_rows) == (1, 0)
 
 
 def test_cc_matches_reference(el, adf_hep):
@@ -123,6 +140,7 @@ def test_cc_matches_reference(el, adf_hep):
     ref = cc_ref(el)
     for r in lbl.collect():
         assert ref[r["v"]] == r["lbl"]
+    assert stats.comm_rows == stats.iterations * replica_table(adf_hep).count()
 
 
 def test_cc_partitioning_invariant(spark):

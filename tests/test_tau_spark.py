@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.memory_model import hep_footprint_bytes
-from repro.graphs.generators import to_spark
+from repro.graphs.generators import EdgeList, to_spark
 from repro.tau.precompute import footprint_sweep, max_tau_within
 
 from .conftest import tiny_graph
@@ -18,6 +18,15 @@ def test_sweep_matches_memory_model(spark, name):
     got = footprint_sweep(to_spark(spark, el), taus=TAUS, k=32)
     for tau, b in got:
         assert b == hep_footprint_bytes(deg, tau=tau, k=32)
+
+
+def test_sweep_counts_isolated_ids(spark):
+    """|V| is the id space, as in the model: id 3 has no edge."""
+    edges = np.array([[0, 1], [1, 2], [2, 0], [4, 5]], dtype=np.uint32)
+    el = EdgeList(edges=edges, n=6)
+    got = footprint_sweep(to_spark(spark, el), taus=TAUS, k=32)
+    for tau, b in got:
+        assert b == hep_footprint_bytes(el.degrees(), tau=tau, k=32)
 
 
 def test_sweep_monotone(spark):
