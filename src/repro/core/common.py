@@ -44,8 +44,7 @@ class PartitionResult:
     def replication_factor(self) -> float:
         """RF = (1/|V|) Σ_i |V(p_i)| over vertices incident to ≥1 edge."""
         cov = self.covered()
-        nv = len(np.unique(self.assignment[:, :2]))
-        return float(cov.sum() / nv)
+        return float(cov.sum() / cov.any(axis=0).sum())
 
     def edge_balance(self) -> float:
         """max_i |p_i| / (|E|/k) — 1.0 is perfect balance."""

@@ -1,5 +1,6 @@
-"""HEP — Hybrid Edge Partitioner (the paper's system, §3), and the §5.4
-simple hybrid it is measured against.
+"""HEP — Hybrid Edge Partitioner (the paper's system, §3), the §5.4
+simple hybrid it is measured against, and the stand-alone streaming
+baselines.
 
 Phase 1 partitions ``E \\ E_h2h`` in memory with NE++ (pruned CSR);
 phase 2 streams ``E_h2h`` through HDRF, warm-started with the replica
@@ -12,6 +13,10 @@ on G_REST (full CSR, eager bookkeeping) and uninformed random
 streaming of G_H2H — and shares everything else, phase 2's warm start
 and concatenation included, so the ablation measures the design, not
 the hybridization.
+
+The HDRF / Greedy / random baselines are phase 2 run over every edge
+from an empty state; HEP at τ=0 (every vertex with an edge is
+high-degree) gives the same assignment as the HDRF baseline.
 """
 from __future__ import annotations
 
@@ -19,13 +24,13 @@ import time
 
 import numpy as np
 
-from ..graphs.csr import CSR
+from ..graphs.csr import CSR, build_pruned_csr
 from ..graphs.degrees import high_mask_np, split_edges_np
 from ..graphs.generators import EdgeList
 from .common import PartitionResult, assignment_array
 from .ne import partition_ne
 from .nepp import partition_nepp
-from .streaming import ALPHA, StreamState, stream_edges
+from .streaming import ALPHA, stream_edges
 
 
 def partition_hep(
@@ -35,18 +40,19 @@ def partition_hep(
     tau: float,
     csr: CSR | None = None,
 ) -> PartitionResult:
-    """Run full HEP (NE++ then informed HDRF streaming) at threshold ``tau``."""
+    """Run full HEP (NE++ then informed HDRF streaming) at threshold ``tau``.
+
+    ``csr`` is the pruned CSR for ``tau``, built here when not given; it
+    is consumed (NE++'s clean-up mutates it)."""
     t0 = time.perf_counter()
+    csr = csr if csr is not None else build_pruned_csr(el, tau=tau)
     inmem = partition_nepp(el, k=k, tau=tau, csr=csr)
-    return _stream_h2h(
-        el,
-        inmem,
-        inmem.stats["h2h"],
-        k=k,
-        tau=tau,
-        method="hdrf",
-        t_inmem_s=time.perf_counter() - t0,
-    )
+    h2h = csr.h2h
+    del csr  # phase 2 needs only E_h2h, not the column array
+    t_inmem_s = time.perf_counter() - t0
+    res = _stream_h2h(el, inmem, h2h, method="hdrf")
+    res.stats.update(tau=tau, t_inmem_s=t_inmem_s)
+    return res
 
 
 def partition_simple_hybrid(el: EdgeList, *, k: int, tau: float) -> PartitionResult:
@@ -57,58 +63,59 @@ def partition_simple_hybrid(el: EdgeList, *, k: int, tau: float) -> PartitionRes
     # NE runs on the rest-subgraph; vertex ids are shared with el so no
     # relabeling is needed (isolated ids simply never appear).
     inmem = partition_ne(EdgeList(edges=rest.copy(), n=el.n), k=k)
-    return _stream_h2h(
-        el,
-        inmem,
-        h2h,
+    t_inmem_s = time.perf_counter() - t0
+    res = _stream_h2h(el, inmem, h2h, method="random")
+    res.stats.update(tau=tau, t_inmem_s=t_inmem_s)
+    return res
+
+
+def partition_streaming(el: EdgeList, *, k: int, method: str = "hdrf") -> PartitionResult:
+    """Stand-alone streaming partitioner over the full edge list (the
+    HDRF / Greedy / random baselines of the evaluation): phase 2 from
+    an empty state."""
+    empty = PartitionResult(
+        assignment=np.empty((0, 3), dtype=np.int64),
         k=k,
-        tau=tau,
-        method="random",
-        t_inmem_s=time.perf_counter() - t0,
+        n=el.n,
+        replicas=np.zeros((k, el.n), dtype=bool),
     )
+    return _stream_h2h(el, empty, el.edges, method=method)
 
 
 def _stream_h2h(
-    el: EdgeList,
-    inmem: PartitionResult,
-    h2h: np.ndarray,
-    *,
-    k: int,
-    tau: float,
-    method: str,
-    t_inmem_s: float,
+    el: EdgeList, inmem: PartitionResult, edges: np.ndarray, *, method: str
 ) -> PartitionResult:
-    """Phase 2: stream ``h2h`` into the state the in-memory phase left.
+    """Phase 2: stream ``edges`` into the state the in-memory phase left.
 
     The scorer starts from ``inmem``'s replica sets and partition loads;
-    the balance cap counts all of ``el``'s edges. Returns the in-memory
-    assignment followed by the streamed edges.
+    the balance cap ⌈α·|E|/k⌉ counts all of ``el``'s edges, which are
+    ``inmem``'s plus ``edges``. Returns the in-memory assignment
+    followed by the streamed edges.
     """
     t1 = time.perf_counter()
-    state = StreamState(el.n, k, replicas=inmem.replicas, sizes=inmem.sizes)
-    cap = max(1, int(np.ceil(ALPHA * el.m / k)))
+    k = inmem.k
+    replicas, sizes = inmem.replicas, inmem.sizes
     pids = stream_edges(
-        h2h.astype(np.int64),
-        state=state,
+        edges,
+        replicas=replicas,
+        sizes=sizes,
         degrees=el.degrees(),
-        cap=cap,
+        cap=int(np.ceil(ALPHA * el.m / k)),
         method=method,
     )
     t_stream_s = time.perf_counter() - t1
     assignment = inmem.assignment
-    if len(h2h):
-        streamed = assignment_array(h2h[:, 0], h2h[:, 1], pids)
-        assignment = np.concatenate([assignment, streamed])
+    if len(edges):
+        streamed = assignment_array(edges[:, 0], edges[:, 1], pids)
+        assignment = np.concatenate([assignment, streamed]) if len(assignment) else streamed
     return PartitionResult(
         assignment=assignment,
         k=k,
         n=el.n,
-        replicas=state.replicas,
+        replicas=replicas,
         stats={
-            **{s: v for s, v in inmem.stats.items() if s != "h2h"},
-            "tau": tau,
-            "n_h2h": int(len(h2h)),
-            "t_inmem_s": t_inmem_s,
+            **inmem.stats,
+            "n_h2h": int(len(edges)),
             "t_stream_s": t_stream_s,
             "streaming_method": method,
         },

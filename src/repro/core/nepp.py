@@ -45,10 +45,10 @@ def partition_nepp(
     """Partition the in-memory edge set of ``el`` into ``k`` parts.
 
     Returns a :class:`PartitionResult` whose assignment covers only the
-    in-memory edges ``E \\ E_h2h``; the external ``E_h2h`` edges are in
-    ``result.stats["h2h"]`` for the streaming phase (:mod:`.hep`).
-    ``csr`` may be supplied pre-built (e.g. with a paging ``touch``
-    hook); it is consumed (mutated by clean-up).
+    in-memory edges ``E \\ E_h2h``; the external ``E_h2h`` edges stay in
+    ``csr.h2h`` for the streaming phase (:mod:`.hep`). ``csr`` may be
+    supplied pre-built (e.g. with a paging ``touch`` hook); it is
+    consumed (mutated by clean-up).
     """
     csr = csr if csr is not None else build_pruned_csr(el, tau=tau)
     n = csr.n
@@ -224,7 +224,6 @@ def partition_nepp(
         n=n,
         replicas=replicas,
         stats={
-            "h2h": csr.h2h,
             "m_inmem": m_inmem,
             "cap": cap,
             "cleaned_entries": cleaned_entries,

@@ -1,11 +1,13 @@
-"""Stateful streaming edge partitioning (paper §3.3, Alg. 4).
+"""Stateful streaming edge partitioning kernel (paper §3.3, Alg. 4).
 
 One pass over the edge stream; each edge is scored against every
 partition and assigned to the argmax (HDRF scoring by default, λ=1.1
 per Appendix A). The scorer state — per-partition replica sets and
-loads — can be *warm-started* from NE++'s in-memory phase, which is
-exactly HEP's "informed" streaming: a vertex is replicated on p_i iff
-it entered S_i ∪ C during p_i's construction.
+loads — is passed in and updated in place, so a stream can start from
+NE++'s in-memory phase, which is exactly HEP's "informed" streaming: a
+vertex is replicated on p_i iff it entered S_i ∪ C during p_i's
+construction. The drivers (HEP, the simple hybrid and the stand-alone
+baselines, which start from an empty state) are in :mod:`.hep`.
 
 Degrees are the exact degrees computed at graph-building time (HEP has
 them from ingestion; §3.3). Scores are vectorized over the k partitions
@@ -16,24 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graphs.generators import EdgeList
-from .common import PartitionResult, assignment_array
-
 _EPS = 1.0  # ε in HDRF's balance term
 _LAMBDA = 1.1  # λ, HDRF's balance weight (Appendix A)
 ALPHA = 1.05  # α, the balance bound |p_i| ≤ α·|E|/k (Appendix A)
-
-
-class StreamState:
-    """Mutable scorer state shared between HEP's two phases."""
-
-    def __init__(self, n: int, k: int, replicas: np.ndarray | None = None, sizes: np.ndarray | None = None):
-        self.k = k
-        self.n = n
-        self.replicas = replicas if replicas is not None else np.zeros((k, n), dtype=bool)
-        self.sizes = (
-            sizes.astype(np.int64) if sizes is not None else np.zeros(k, dtype=np.int64)
-        )
 
 
 def _choose_balanced(cands: np.ndarray, sizes: np.ndarray) -> int:
@@ -44,7 +31,8 @@ def _choose_balanced(cands: np.ndarray, sizes: np.ndarray) -> int:
 def stream_edges(
     edges: np.ndarray,
     *,
-    state: StreamState,
+    replicas: np.ndarray,
+    sizes: np.ndarray,
     degrees: np.ndarray,
     cap: int,
     method: str = "hdrf",
@@ -52,12 +40,16 @@ def stream_edges(
 ) -> np.ndarray:
     """Assign ``edges`` (m,2) one at a time; returns (m,) pid array.
 
-    ``cap`` is the balance bound α·|E|/k over the *whole* graph's edge
-    count (partitions already warm from NE++ count toward it).
-    ``method``: "hdrf" | "greedy" | "random".
+    ``replicas`` ((k, n) bool) and ``sizes`` ((k,) int64) are the
+    scorer state; both are updated in place. ``cap`` bounds every
+    partition's load, streamed edges included; it must leave room for
+    all of ``edges`` (k·cap ≥ Σ sizes + m), so some partition is always
+    open. ``method``: "hdrf" | "greedy" | "random".
     """
-    k = state.k
-    replicas, sizes = state.replicas, state.sizes
+    k = len(sizes)
+    if sizes.sum() + len(edges) > k * cap:
+        raise ValueError(f"cap {cap} leaves no room: {k} partitions hold "
+                         f"{sizes.sum()} edges and {len(edges)} more arrive")
     pids = np.empty(len(edges), dtype=np.int64)
     rng = np.random.default_rng(seed)
     deg = degrees.astype(np.float64)
@@ -65,8 +57,6 @@ def stream_edges(
         u = int(edges[idx, 0])
         v = int(edges[idx, 1])
         open_ = sizes < cap
-        if not open_.any():  # cap rounding corner: fall back to least loaded
-            open_ = sizes == sizes.min()
         if method == "hdrf":
             du, dv = deg[u], deg[v]
             tot = du + dv
@@ -97,29 +87,3 @@ def stream_edges(
         replicas[p, v] = True
         sizes[p] += 1
     return pids
-
-
-def partition_streaming(
-    el: EdgeList,
-    *,
-    k: int,
-    method: str = "hdrf",
-    alpha: float = ALPHA,
-    seed: int = 0,
-) -> PartitionResult:
-    """Stand-alone streaming partitioner over the full edge list (the
-    HDRF / Greedy / random baselines of the evaluation)."""
-    state = StreamState(el.n, k)
-    cap = max(1, int(np.ceil(alpha * el.m / k)))
-    pids = stream_edges(
-        el.edges,
-        state=state,
-        degrees=el.degrees(),
-        cap=cap,
-        method=method,
-        seed=seed,
-    )
-    assignment = assignment_array(el.edges[:, 0], el.edges[:, 1], pids)
-    return PartitionResult(
-        assignment=assignment, k=k, n=el.n, replicas=state.replicas, stats={"method": method}
-    )

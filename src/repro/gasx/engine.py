@@ -46,19 +46,6 @@ def vertices(assignment: DataFrame) -> DataFrame:
     )
 
 
-def replica_table(assignment: DataFrame) -> DataFrame:
-    """DataFrame(pid, v): the replica (covered-vertex) pairs.
-
-    Its row count Σ_i |V(p_i)| is the RF numerator and the
-    per-iteration replica-sync upper bound.
-    """
-    return (
-        assignment.select("pid", F.col("src").alias("v"))
-        .unionAll(assignment.select("pid", F.col("dst").alias("v")))
-        .distinct()
-    )
-
-
 def two_stage_agg(msgs: DataFrame, agg_col: str, how: str) -> tuple[DataFrame, Observation]:
     """The engine kernel: local per-(pid, dst) combine, then global
     per-dst combine. Lazy: returns (DataFrame(dst, <agg_col>), obs), where

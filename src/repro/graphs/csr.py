@@ -118,9 +118,16 @@ def _fill_lists(
     in_start = out_start + out_size
     col = np.zeros(int(total.sum()), dtype=np.uint32)
     col_eid = np.zeros(len(col), dtype=np.int64) if eid is not None else None
-    for start, (key, value) in ((out_start, out_lists), (in_start, in_lists)):
+    for start, size, (key, value) in (
+        (out_start, out_size, out_lists),
+        (in_start, in_size, in_lists),
+    ):
+        # the i-th entry in key order goes to start[key] + i - first[key],
+        # where first[key] is the number of this list's entries with a
+        # smaller key
         o = np.argsort(key, kind="stable")
-        pos = start[key[o]] + _rank_within_group(key[o])
+        pos = np.arange(len(o), dtype=np.int64)
+        pos += (start - (np.cumsum(size) - size))[key[o]]
         col[pos] = value[o]
         if col_eid is not None:
             col_eid[pos] = eid[o]
@@ -135,16 +142,6 @@ def _fill_lists(
         h2h=h2h,
         col_eid=col_eid,
     )
-
-
-def _rank_within_group(sorted_keys: np.ndarray) -> np.ndarray:
-    """0,1,2,... within each run of equal values in a sorted key array."""
-    if len(sorted_keys) == 0:
-        return np.zeros(0, dtype=np.int64)
-    idx = np.arange(len(sorted_keys), dtype=np.int64)
-    new_group = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
-    group_start = np.maximum.accumulate(np.where(new_group, idx, 0))
-    return idx - group_start
 
 
 def build_csr(el: EdgeList) -> CSR:

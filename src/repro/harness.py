@@ -14,7 +14,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from .core.hashing import dbh_np
-from .core.hep import partition_hep, partition_simple_hybrid
+from .core.hep import partition_hep, partition_simple_hybrid, partition_streaming
 from .core.memory_model import (
     hep_footprint_bytes,
     ne_footprint_bytes,
@@ -23,7 +23,6 @@ from .core.memory_model import (
 from .core.metrics import assignment_to_spark
 from .core.ne import partition_ne
 from .core.sne import partition_sne
-from .core.streaming import partition_streaming
 from .gasx.algorithms import bfs, connected_components, pagerank
 from .graphs.generators import EdgeList, graph, graph_type, to_spark
 from .paging.page_cache import run_nepp_paged

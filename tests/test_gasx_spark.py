@@ -3,15 +3,13 @@ partitioning-invariance (the partitioning changes cost, never results).
 """
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.hashing import dbh_np
 from repro.core.hep import partition_hep
 from repro.core.metrics import assignment_to_spark
 from repro.gasx.algorithms import bfs, connected_components, pagerank
-from repro.gasx.engine import replica_table, symmetrize, vertices
+from repro.gasx.engine import symmetrize, vertices
 from repro.gasx.reference import bfs_ref, cc_ref, pagerank_ref
-from repro.oracle import assert_equivalent
 
 from .conftest import tiny_graph, two_triangles
 
@@ -52,33 +50,14 @@ def test_vertices_count(adf_hep, el):
     assert vertices(adf_hep).count() == el.n
 
 
-def test_comm_volume_equals_rf_times_v(el, hep, adf_hep):
-    """Σ|V(p_i)| — the engine's replica table IS the RF numerator."""
-    assert replica_table(adf_hep).count() == pytest.approx(
-        hep.replication_factor() * el.n
-    )
-
-
-def test_replica_table_oracle(spark, el, adf_hep):
-    import pandas as pd
-
-    pdf = adf_hep.toPandas()
-    sql = """
-        SELECT DISTINCT pid, v FROM (
-            SELECT pid, src AS v FROM a UNION ALL SELECT pid, dst AS v FROM a
-        )
-    """
-    assert_equivalent(replica_table(adf_hep), sql, a=pdf)
-
-
-def test_pagerank_matches_reference(el, adf_hep):
+def test_pagerank_matches_reference(el, hep, adf_hep):
     ranks, stats = pagerank(adf_hep, n_iter=3)
     ref = pagerank_ref(el, n_iter=3)
     for r in ranks.collect():
         assert r["rank"] == pytest.approx(ref[r["v"]], abs=1e-9)
     assert stats.iterations == 3
     # every replica pair receives a message in every iteration
-    assert stats.comm_rows == 3 * replica_table(adf_hep).count()
+    assert stats.comm_rows == 3 * hep.covered().sum()
 
 
 def test_pagerank_partitioning_invariant(el, adf_hep, adf_dbh):
@@ -135,12 +114,12 @@ def test_bfs_source_only_component(spark):
     assert (stats.iterations, stats.comm_rows) == (1, 0)
 
 
-def test_cc_matches_reference(el, adf_hep):
+def test_cc_matches_reference(el, hep, adf_hep):
     lbl, stats = connected_components(adf_hep, max_iter=40)
     ref = cc_ref(el)
     for r in lbl.collect():
         assert ref[r["v"]] == r["lbl"]
-    assert stats.comm_rows == stats.iterations * replica_table(adf_hep).count()
+    assert stats.comm_rows == stats.iterations * hep.covered().sum()
 
 
 def test_cc_partitioning_invariant(spark):

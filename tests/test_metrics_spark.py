@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.common import PartitionResult
-from repro.core.hep import partition_hep
+from repro.core.hep import partition_hep, partition_streaming
 from repro.core.metrics import assignment_to_spark
-from repro.core.streaming import partition_streaming
 from repro.oracle import assert_equivalent
 
 from .conftest import star_graph, tiny_graph, two_triangles
@@ -33,7 +32,7 @@ def test_star_graph_rf_hand_computed():
     """Paper Fig. 1: star split across 2 partitions ⇒ only the hub is
     replicated twice ⇒ RF = (n_leaves + 2) / (n_leaves + 1)."""
     el = star_graph(6)
-    res = partition_streaming(el, k=2, method="hdrf", alpha=1.4)
+    res = partition_streaming(el, k=2, method="hdrf")
     if len(np.unique(res.assignment[:, 2])) == 2:
         assert res.replication_factor() == pytest.approx(8 / 7)
 

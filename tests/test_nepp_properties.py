@@ -103,14 +103,14 @@ def test_low_tau_classifies_high_vertices():
     el = tiny_graph("OK")
     res = partition_nepp(el, k=8, tau=1.0)
     assert res.stats["high_count"] > 0
-    assert len(res.stats["h2h"]) > 0
+    assert res.stats["m_inmem"] < el.m
 
 
 def test_tau_monotone_h2h():
     """Lower τ ⇒ more high-degree vertices ⇒ more streamed edges."""
     el = tiny_graph("OK")
     h2h_sizes = [
-        len(partition_nepp(el, k=8, tau=t).stats["h2h"]) for t in (100.0, 2.0, 1.0, 0.5)
+        el.m - partition_nepp(el, k=8, tau=t).stats["m_inmem"] for t in (100.0, 2.0, 1.0, 0.5)
     ]
     assert h2h_sizes == sorted(h2h_sizes)
 
@@ -132,16 +132,9 @@ def test_hep_streaming_warm_start_used():
     el = tiny_graph("OK")
     k = 16
     rf_informed = partition_hep(el, k=k, tau=1.0).replication_factor()
-    inmem = partition_nepp(el, k=k, tau=1.0)
-    rf_random = _stream_h2h(
-        el,
-        inmem,
-        inmem.stats["h2h"],
-        k=k,
-        tau=1.0,
-        method="random",
-        t_inmem_s=0.0,
-    ).replication_factor()
+    csr = build_pruned_csr(el, tau=1.0)
+    inmem = partition_nepp(el, k=k, tau=1.0, csr=csr)
+    rf_random = _stream_h2h(el, inmem, csr.h2h, method="random").replication_factor()
     assert rf_informed <= rf_random
 
 
@@ -162,3 +155,10 @@ def test_empty_partitions_allowed_for_tiny_graphs():
     el = EdgeList(edges=np.array([[0, 1], [1, 2]], dtype=np.uint32), n=3)
     res = partition_hep(el, k=8, tau=100.0)
     check_valid(el, res, alpha=8.0)
+
+
+def test_stats_hold_no_arrays():
+    """Stats are scalars: E_h2h stays in the pruned CSR, not in a result."""
+    el = tiny_graph("OK")
+    for res in (partition_nepp(el, k=8, tau=1.0), partition_hep(el, k=8, tau=1.0)):
+        assert not any(isinstance(v, np.ndarray) for v in res.stats.values())

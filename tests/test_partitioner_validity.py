@@ -7,11 +7,11 @@ import pytest
 
 from repro.core.common import check_valid
 from repro.core.hashing import dbh_np
-from repro.core.hep import partition_hep, partition_simple_hybrid
+from repro.core.hep import partition_hep, partition_simple_hybrid, partition_streaming
 from repro.core.ne import partition_ne
 from repro.core.nepp import partition_nepp
 from repro.core.sne import partition_sne
-from repro.core.streaming import partition_streaming
+from repro.graphs.csr import build_pruned_csr
 
 from .conftest import TEST_GRAPHS, path_graph, star_graph, tiny_graph, two_triangles
 
@@ -78,8 +78,9 @@ def test_valid_on_disconnected(pname):
 def test_nepp_plus_h2h_cover_everything(tau, k):
     """NE++'s assignment plus its external h2h edges cover the graph."""
     el = tiny_graph("OK")
-    res = partition_nepp(el, k=k, tau=tau)
-    assert res.assignment.shape[0] + len(res.stats["h2h"]) == el.m
+    csr = build_pruned_csr(el, tau=tau)
+    res = partition_nepp(el, k=k, tau=tau, csr=csr)
+    assert res.assignment.shape[0] + len(csr.h2h) == el.m
 
 
 @pytest.mark.parametrize("pname", sorted(PARTITIONERS) + ["dbh"])

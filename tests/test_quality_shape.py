@@ -7,10 +7,9 @@ the benchmarks (EXPERIMENTS.md records both).
 import pytest
 
 from repro.core.hashing import dbh_np
-from repro.core.hep import partition_hep, partition_simple_hybrid
+from repro.core.hep import partition_hep, partition_simple_hybrid, partition_streaming
 from repro.core.ne import partition_ne
 from repro.core.sne import partition_sne
-from repro.core.streaming import partition_streaming
 
 from .conftest import tiny_graph
 

@@ -2,9 +2,15 @@
 import numpy as np
 import pytest
 
-from repro.core.streaming import StreamState, partition_streaming, stream_edges
+from repro.core.hep import partition_hep, partition_streaming
+from repro.core.streaming import ALPHA, stream_edges
 
-from .conftest import star_graph, tiny_graph
+from .conftest import TEST_GRAPHS, star_graph, tiny_graph
+
+
+def _empty_state(n: int, k: int):
+    """(replicas, sizes) of a stream that has seen no edge."""
+    return np.zeros((k, n), dtype=bool), np.zeros(k, dtype=np.int64)
 
 
 def test_hdrf_beats_random_quality():
@@ -23,9 +29,8 @@ def test_greedy_beats_random_quality():
 
 def test_hdrf_respects_capacity():
     el = tiny_graph("TW")
-    alpha = 1.05
-    res = partition_streaming(el, k=8, method="hdrf", alpha=alpha)
-    assert res.sizes.max() <= np.ceil(alpha * el.m / 8)
+    res = partition_streaming(el, k=8, method="hdrf")
+    assert res.sizes.max() <= np.ceil(ALPHA * el.m / 8)
 
 
 def test_hdrf_deterministic():
@@ -37,9 +42,13 @@ def test_hdrf_deterministic():
 
 def test_random_seed_changes_assignment():
     el = tiny_graph("LJ")
-    a = partition_streaming(el, k=8, method="random", seed=1)
-    b = partition_streaming(el, k=8, method="random", seed=2)
-    assert not np.array_equal(a.assignment[:, 2], b.assignment[:, 2])
+    cap = int(np.ceil(ALPHA * el.m / 8))
+    pids = []
+    for seed in (1, 2):
+        replicas, sizes = _empty_state(el.n, 8)
+        pids.append(stream_edges(el.edges, replicas=replicas, sizes=sizes,
+                                 degrees=el.degrees(), cap=cap, method="random", seed=seed))
+    assert not np.array_equal(*pids)
 
 
 def test_unknown_method_raises():
@@ -58,12 +67,13 @@ def test_replicas_match_assignment_coverage():
 def test_warm_start_attracts_edges():
     """An edge whose endpoints are already replicated on partition 0
     must be assigned there by HDRF when loads are level."""
-    state = StreamState(n=4, k=3)
-    state.replicas[0, 1] = True
-    state.replicas[0, 2] = True
+    replicas, sizes = _empty_state(n=4, k=3)
+    replicas[0, 1] = True
+    replicas[0, 2] = True
     degrees = np.array([1, 2, 2, 1])
     pids = stream_edges(
-        np.array([[1, 2]]), state=state, degrees=degrees, cap=10, method="hdrf"
+        np.array([[1, 2]]), replicas=replicas, sizes=sizes, degrees=degrees, cap=10,
+        method="hdrf",
     )
     assert pids[0] == 0
 
@@ -71,25 +81,55 @@ def test_warm_start_attracts_edges():
 def test_hdrf_balance_term_spreads_load():
     """With no replication signal, HDRF must spread edges (balance term
     dominates): a stream of disjoint edges lands on distinct partitions."""
-    state = StreamState(n=8, k=4)
+    replicas, sizes = _empty_state(n=8, k=4)
     edges = np.array([[0, 1], [2, 3], [4, 5], [6, 7]])
     degrees = np.ones(8)
-    pids = stream_edges(edges, state=state, degrees=degrees, cap=10, method="hdrf")
+    pids = stream_edges(
+        edges, replicas=replicas, sizes=sizes, degrees=degrees, cap=10, method="hdrf"
+    )
     assert len(set(pids.tolist())) == 4
 
 
-def test_capacity_overflow_fallback():
-    """When every partition is at cap, the least-loaded one is used
-    rather than dropping the edge."""
+@pytest.mark.parametrize("method", ["hdrf", "greedy", "random"])
+def test_tight_cap_places_every_edge(method):
+    """At the tightest cap that fits the stream (α=1: k·cap = |E| + 2
+    for a 10-edge star on 3 partitions, cap 4), every edge is placed and
+    no partition exceeds the cap."""
     el = star_graph(10)
-    res = partition_streaming(el, k=3, method="hdrf", alpha=1.0)
-    assert res.assignment.shape[0] == el.m
+    replicas, sizes = _empty_state(el.n, 3)
+    pids = stream_edges(el.edges, replicas=replicas, sizes=sizes, degrees=el.degrees(),
+                        cap=4, method=method)
+    assert len(pids) == el.m
+    assert sizes.sum() == el.m and sizes.max() <= 4
+
+
+def test_cap_without_room_raises():
+    """A cap that cannot hold the stream is refused before any edge is
+    placed, instead of overrunning a partition."""
+    el = star_graph(10)
+    replicas, sizes = _empty_state(el.n, 3)
+    with pytest.raises(ValueError, match="no room"):
+        stream_edges(el.edges, replicas=replicas, sizes=sizes, degrees=el.degrees(), cap=3)
+    assert sizes.sum() == 0
 
 
 def test_stream_state_shared_mutation():
-    state = StreamState(n=4, k=2)
+    """The replica sets and loads passed in are the stream's state."""
+    replicas, sizes = _empty_state(n=4, k=2)
     stream_edges(
-        np.array([[0, 1]]), state=state, degrees=np.ones(4), cap=5, method="hdrf"
+        np.array([[0, 1]]), replicas=replicas, sizes=sizes, degrees=np.ones(4), cap=5,
+        method="hdrf",
     )
-    assert state.sizes.sum() == 1
-    assert state.replicas.any()
+    assert sizes.sum() == 1
+    assert replicas.any()
+
+
+@pytest.mark.parametrize("k", [4, 32])
+@pytest.mark.parametrize("name", TEST_GRAPHS)
+def test_hdrf_baseline_is_hep_at_tau_zero(name, k):
+    """At τ=0 every vertex with an edge is high-degree, so HEP streams
+    every edge from an empty state: the stand-alone HDRF baseline."""
+    el = tiny_graph(name)
+    hep = partition_hep(el, k=k, tau=0.0)
+    assert hep.stats["n_h2h"] == el.m
+    assert np.array_equal(hep.assignment, partition_streaming(el, k=k, method="hdrf").assignment)
