@@ -10,22 +10,26 @@ construction. The drivers (HEP, the simple hybrid and the stand-alone
 baselines, which start from an empty state) are in :mod:`.hep`.
 
 Degrees are the exact degrees computed at graph-building time (HEP has
-them from ingestion; §3.3). Scores are vectorized over the k partitions
-with numpy, so the per-edge cost is Θ(k) with small constants — the
-paper's Θ(|E|·k) streaming complexity (Table 1).
+them from ingestion; §3.3). HDRF and Greedy run as one compiled C loop
+(``_kernels.c``), Θ(k) work per edge — the paper's Θ(|E|·k) streaming
+complexity (Table 1) and its single-threaded C++ design (Appendix A).
+``stream_edges_py`` is the same algorithm as a Python loop with numpy
+over the k partitions: the reference the C loop must match bit for bit,
+and the only implementation of random streaming, whose draws come from
+numpy's generator.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from . import _native
+
 _EPS = 1.0  # ε in HDRF's balance term
 _LAMBDA = 1.1  # λ, HDRF's balance weight (Appendix A)
 ALPHA = 1.05  # α, the balance bound |p_i| ≤ α·|E|/k (Appendix A)
 
-
-def _choose_balanced(cands: np.ndarray, sizes: np.ndarray) -> int:
-    """Least-loaded partition among candidate indices."""
-    return int(cands[np.argmin(sizes[cands])])
+_LIB = _native.load()  # at import, so no timed call pays the build or dlopen
+_NATIVE_METHODS = {"hdrf": 0, "greedy": 1}
 
 
 def stream_edges(
@@ -40,16 +44,92 @@ def stream_edges(
 ) -> np.ndarray:
     """Assign ``edges`` (m,2) one at a time; returns (m,) pid array.
 
-    ``replicas`` ((k, n) bool) and ``sizes`` ((k,) int64) are the
-    scorer state; both are updated in place. ``cap`` bounds every
-    partition's load, streamed edges included; it must leave room for
-    all of ``edges`` (k·cap ≥ Σ sizes + m), so some partition is always
-    open. ``method``: "hdrf" | "greedy" | "random".
+    ``replicas`` ((k, n) bool, C-contiguous) and ``sizes`` ((k,) int64,
+    C-contiguous) are the scorer state; both are updated in place.
+    ``degrees`` ((n,), integer) are the vertex degrees HDRF weighs
+    endpoints by. ``cap`` bounds every partition's load, streamed edges
+    included; it must leave room for all of ``edges`` (k·cap ≥ Σ sizes
+    + m), so some partition is always open. ``method``: "hdrf" |
+    "greedy" | "random"; ``seed`` seeds random's draws.
     """
+    if method == "random":
+        return stream_edges_py(edges, replicas=replicas, sizes=sizes, degrees=degrees,
+                               cap=cap, method=method, seed=seed)
+    if method not in _NATIVE_METHODS:
+        raise ValueError(f"unknown streaming method {method!r}")
+    edges, degrees = _checked(edges, replicas, sizes, degrees)
+    _check_room(sizes, len(edges), cap)
+    k, n = replicas.shape
+    pids = np.empty(len(edges), dtype=np.int64)
+    status = _LIB.stream_edges(edges.ctypes.data, len(edges), replicas.ctypes.data,
+                               sizes.ctypes.data, k, n, degrees.ctypes.data, int(cap),
+                               _NATIVE_METHODS[method], _LAMBDA, _EPS, pids.ctypes.data)
+    if status != 0:
+        raise RuntimeError("native streaming found every partition closed")
+    return pids
+
+
+def _checked(edges, replicas, sizes, degrees) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the kernel's inputs before any pointer reaches C; returns
+    ``edges`` as C-contiguous uint32 and ``degrees`` as C-contiguous
+    int64, copying only what is not already in that form. ``replicas``
+    and ``sizes`` are never copied: the caller relies on their in-place
+    update."""
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"stream_edges: {what}")
+
+    require(isinstance(replicas, np.ndarray) and replicas.dtype == np.bool_
+            and replicas.ndim == 2 and replicas.flags.c_contiguous
+            and replicas.flags.writeable,
+            "replicas must be a writeable C-contiguous (k, n) bool array")
+    k, n = replicas.shape
+    require(isinstance(sizes, np.ndarray) and sizes.dtype == np.int64
+            and sizes.shape == (k,) and sizes.flags.c_contiguous and sizes.flags.writeable,
+            f"sizes must be a writeable C-contiguous int64 array of length k={k}")
+    edges = np.asarray(edges)
+    require(edges.ndim == 2 and edges.shape[1] == 2 and edges.dtype.kind in "iu",
+            f"edges must be an (m, 2) integer array, got {edges.dtype} {edges.shape}")
+    if len(edges):
+        lo, hi = int(edges.min()), int(edges.max())
+        require(lo >= 0 and hi < min(n, 2**32),
+                f"edge ids must lie in [0, {n}) (replicas has n={n} columns), "
+                f"got [{lo}, {hi}]")
+    degrees = np.asarray(degrees)
+    require(degrees.shape == (n,) and degrees.dtype.kind in "iu",
+            f"degrees must be an integer array of length n={n}, "
+            f"got {degrees.dtype} {degrees.shape}")
+    return (np.ascontiguousarray(edges, dtype=np.uint32),
+            np.ascontiguousarray(degrees, dtype=np.int64))
+
+
+def _check_room(sizes: np.ndarray, m: int, cap: int) -> None:
+    """Refuse a cap that cannot hold ``m`` more edges on top of ``sizes``."""
     k = len(sizes)
-    if sizes.sum() + len(edges) > k * cap:
+    if sizes.sum() + m > k * cap:
         raise ValueError(f"cap {cap} leaves no room: {k} partitions hold "
-                         f"{sizes.sum()} edges and {len(edges)} more arrive")
+                         f"{sizes.sum()} edges and {m} more arrive")
+
+
+def _choose_balanced(cands: np.ndarray, sizes: np.ndarray) -> int:
+    """Least-loaded partition among candidate indices."""
+    return int(cands[np.argmin(sizes[cands])])
+
+
+def stream_edges_py(
+    edges: np.ndarray,
+    *,
+    replicas: np.ndarray,
+    sizes: np.ndarray,
+    degrees: np.ndarray,
+    cap: int,
+    method: str = "hdrf",
+    seed: int = 0,
+) -> np.ndarray:
+    """:func:`stream_edges` as a Python loop, scores vectorized over the
+    k partitions with numpy: the reference for the C kernel, and the
+    random path."""
+    _check_room(sizes, len(edges), cap)
     pids = np.empty(len(edges), dtype=np.int64)
     rng = np.random.default_rng(seed)
     deg = degrees.astype(np.float64)

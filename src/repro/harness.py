@@ -73,7 +73,7 @@ def footprint_model(name: str, el: EdgeList, *, k: int) -> int:
 
 # --- Table 1: complexity scaling ---------------------------------------
 
-def run_table1(*, sizes=(0.1, 0.2, 0.4), ks=(4, 8, 16), base_graph="OK") -> list[dict]:
+def run_table1(*, sizes=(0.1, 0.2, 0.4), ks=(4, 16, 64), base_graph="OK") -> list[dict]:
     """Empirical scaling of partitioning run-time vs |E| (at k=8) and
     vs k (at the largest size): the shape behind Table 1's complexity
     classes — DBH flat in k, HDRF/Greedy linear in k, HEP dominated by

@@ -1,9 +1,11 @@
 """Streaming partitioner unit tests (HDRF / Greedy / random, §3.3)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hep import partition_hep, partition_streaming
-from repro.core.streaming import ALPHA, stream_edges
+from repro.core.streaming import ALPHA, stream_edges, stream_edges_py
 
 from .conftest import TEST_GRAPHS, star_graph, tiny_graph
 
@@ -83,7 +85,7 @@ def test_hdrf_balance_term_spreads_load():
     dominates): a stream of disjoint edges lands on distinct partitions."""
     replicas, sizes = _empty_state(n=8, k=4)
     edges = np.array([[0, 1], [2, 3], [4, 5], [6, 7]])
-    degrees = np.ones(8)
+    degrees = np.ones(8, dtype=np.int64)
     pids = stream_edges(
         edges, replicas=replicas, sizes=sizes, degrees=degrees, cap=10, method="hdrf"
     )
@@ -117,7 +119,8 @@ def test_stream_state_shared_mutation():
     """The replica sets and loads passed in are the stream's state."""
     replicas, sizes = _empty_state(n=4, k=2)
     stream_edges(
-        np.array([[0, 1]]), replicas=replicas, sizes=sizes, degrees=np.ones(4), cap=5,
+        np.array([[0, 1]]), replicas=replicas, sizes=sizes, degrees=np.ones(4, dtype=np.int64),
+        cap=5,
         method="hdrf",
     )
     assert sizes.sum() == 1
@@ -133,3 +136,68 @@ def test_hdrf_baseline_is_hep_at_tau_zero(name, k):
     hep = partition_hep(el, k=k, tau=0.0)
     assert hep.stats["n_h2h"] == el.m
     assert np.array_equal(hep.assignment, partition_streaming(el, k=k, method="hdrf").assignment)
+
+
+@pytest.mark.parametrize("method", ["hdrf", "greedy"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_native_matches_python_oracle(method, data):
+    """The C kernel and the Python loop give the same pids and leave the
+    same replica sets and loads, from a random warm state: replicas,
+    loads (sometimes all equal, where ties decide) and a cap that leaves
+    room, down to the tight α = 1 cap."""
+    n = data.draw(st.integers(1, 24), label="n")
+    k = data.draw(st.integers(1, 8), label="k")
+    ids = st.integers(0, n - 1)
+    edges = np.array(data.draw(st.lists(st.tuples(ids, ids), max_size=60), label="edges"),
+                     dtype=np.uint32).reshape(-1, 2)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    replicas = rng.random((k, n)) < data.draw(st.sampled_from([0.0, 0.2, 0.6]), label="density")
+    if data.draw(st.booleans(), label="level loads"):
+        sizes = np.full(k, data.draw(st.integers(0, 5), label="load"), dtype=np.int64)
+    else:
+        sizes = rng.integers(0, 12, size=k).astype(np.int64)
+    degrees = rng.integers(0, 10, size=n)
+    tight = -(-(int(sizes.sum()) + len(edges)) // k)  # ⌈(Σ loads + m) / k⌉
+    cap = tight + data.draw(st.sampled_from([0, 1, 5]), label="slack")
+    state = {}
+    for name, fn in (("native", stream_edges), ("python", stream_edges_py)):
+        r, s = replicas.copy(), sizes.copy()
+        pids = fn(edges, replicas=r, sizes=s, degrees=degrees, cap=cap, method=method)
+        state[name] = (pids, r, s)
+    for a, b in zip(state["native"], state["python"]):
+        assert np.array_equal(a, b)
+
+
+def test_edge_id_out_of_range_raises():
+    """An id ≥ n would be an out-of-bounds write in the C kernel; it is
+    refused before any edge is placed."""
+    replicas, sizes = _empty_state(n=4, k=2)
+    with pytest.raises(ValueError, match="edge ids"):
+        stream_edges(np.array([[0, 4]]), replicas=replicas, sizes=sizes,
+                     degrees=np.ones(4, dtype=np.int64), cap=5)
+    assert sizes.sum() == 0 and not replicas.any()
+
+
+@pytest.mark.parametrize("bad", [
+    "negative id", "edges not (m, 2)", "replicas not bool", "replicas not C-contiguous",
+    "sizes not int64", "sizes of wrong length", "degrees of wrong length", "degrees not integer",
+])
+def test_malformed_stream_state_raises(bad):
+    """Every array the C kernel reads or writes is checked for shape,
+    dtype and layout first; state is never copied to make it fit."""
+    n, k = 4, 2
+    args = dict(edges=np.array([[0, 1]]), replicas=np.zeros((k, n), dtype=bool),
+                sizes=np.zeros(k, dtype=np.int64), degrees=np.ones(n, dtype=np.int64))
+    args.update({
+        "negative id": dict(edges=np.array([[-1, 1]])),
+        "edges not (m, 2)": dict(edges=np.array([[0, 1, 2]])),
+        "replicas not bool": dict(replicas=np.zeros((k, n), dtype=np.uint8)),
+        "replicas not C-contiguous": dict(replicas=np.zeros((k, n), dtype=bool, order="F")),
+        "sizes not int64": dict(sizes=np.zeros(k, dtype=np.int32)),
+        "sizes of wrong length": dict(sizes=np.zeros(k + 1, dtype=np.int64)),
+        "degrees of wrong length": dict(degrees=np.ones(n + 1, dtype=np.int64)),
+        "degrees not integer": dict(degrees=np.ones(n)),
+    }[bad])
+    with pytest.raises(ValueError, match="stream_edges"):
+        stream_edges(**args, cap=5)
