@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from ..graphs.csr import CSR, build_pruned_csr
-from ..graphs.degrees import high_mask_np, split_edges_np
+from ..graphs.degrees import high_mask_np
 from ..graphs.generators import EdgeList
 from .common import PartitionResult, assignment_array
 from .ne import partition_ne
@@ -46,7 +46,7 @@ def partition_hep(
     is consumed (NE++'s clean-up mutates it)."""
     t0 = time.perf_counter()
     csr = csr if csr is not None else build_pruned_csr(el, tau=tau)
-    inmem = partition_nepp(el, k=k, tau=tau, csr=csr)
+    inmem = partition_nepp(el, k=k, csr=csr)
     h2h = csr.h2h
     del csr  # phase 2 needs only E_h2h, not the column array
     t_inmem_s = time.perf_counter() - t0
@@ -59,10 +59,11 @@ def partition_simple_hybrid(el: EdgeList, *, k: int, tau: float) -> PartitionRes
     """NE on G_REST + random streaming on G_H2H at threshold ``tau``."""
     t0 = time.perf_counter()
     high = high_mask_np(el.degrees().astype(np.int64), tau)
-    rest, h2h = split_edges_np(el, high)
+    is_h2h = high[el.edges[:, 0]] & high[el.edges[:, 1]]
+    rest, h2h = el.edges[~is_h2h], el.edges[is_h2h]
     # NE runs on the rest-subgraph; vertex ids are shared with el so no
     # relabeling is needed (isolated ids simply never appear).
-    inmem = partition_ne(EdgeList(edges=rest.copy(), n=el.n), k=k)
+    inmem = partition_ne(EdgeList(edges=rest, n=el.n), k=k)
     t_inmem_s = time.perf_counter() - t0
     res = _stream_h2h(el, inmem, h2h, method="random")
     res.stats.update(tau=tau, t_inmem_s=t_inmem_s)

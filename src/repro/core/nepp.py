@@ -30,7 +30,7 @@ import heapq
 
 import numpy as np
 
-from ..graphs.csr import CSR, build_pruned_csr
+from ..graphs.csr import CSR
 from ..graphs.generators import EdgeList
 from .common import PartitionResult
 
@@ -39,18 +39,17 @@ def partition_nepp(
     el: EdgeList,
     *,
     k: int,
-    tau: float,
-    csr: CSR | None = None,
+    csr: CSR,
 ) -> PartitionResult:
     """Partition the in-memory edge set of ``el`` into ``k`` parts.
 
     Returns a :class:`PartitionResult` whose assignment covers only the
     in-memory edges ``E \\ E_h2h``; the external ``E_h2h`` edges stay in
-    ``csr.h2h`` for the streaming phase (:mod:`.hep`). ``csr`` may be
-    supplied pre-built (e.g. with a paging ``touch`` hook); it is
-    consumed (mutated by clean-up).
+    ``csr.h2h`` for the streaming phase (:mod:`.hep`). ``csr`` is the
+    pruned CSR of ``el`` (:func:`~repro.graphs.csr.build_pruned_csr`),
+    whose ``high`` mask carries the τ classification; it may carry a
+    paging ``touch`` hook, and it is consumed (mutated by clean-up).
     """
-    csr = csr if csr is not None else build_pruned_csr(el, tau=tau)
     n = csr.n
     high = csr.high
     m_inmem = el.m - len(csr.h2h)

@@ -30,20 +30,17 @@ def pagerank(assignment: DataFrame, *, n_iter: int = 10, beta: float = 0.85) -> 
     sym = symmetrize(assignment)
     outdeg = sym.groupBy("src").agg(F.count("*").alias("outdeg"))
     sym_deg = sym.join(outdeg, "src").localCheckpoint()
-    verts = vertices(assignment).localCheckpoint()
-    ranks = verts.withColumn("rank", F.lit(1.0))
-    rank = F.lit(1 - beta) + F.lit(beta) * F.coalesce("contrib", F.lit(0.0))
+    # every incident vertex has a neighbour, so from the first iteration
+    # on ``total`` holds a contribution for each of them
+    ranks = vertices(assignment).withColumn("rank", F.lit(1.0))
+    rank = F.lit(1 - beta) + F.lit(beta) * F.col("contrib")
     comm = 0
     for _ in range(n_iter):
         msgs = sym_deg.join(ranks, sym_deg.src == ranks.v).select(
             "pid", "dst", (F.col("rank") / F.col("outdeg")).alias("contrib")
         )
         total, sync = two_stage_agg(msgs, "contrib", "sum")
-        ranks = (
-            verts.join(total, verts.v == total.dst, "left")
-            .select("v", rank.alias("rank"))
-            .localCheckpoint()
-        )
+        ranks = total.select(F.col("dst").alias("v"), rank.alias("rank")).localCheckpoint()
         comm += observed_rows(sync)
     return ranks, RunStats(n_iter, comm, time.perf_counter() - t0)
 

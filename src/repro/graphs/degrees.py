@@ -6,19 +6,18 @@ and low-degree, then partitions the edge set into
 * ``E_h2h`` — both endpoints high-degree → streaming phase, and
 * ``E \\ E_h2h`` — at least one low endpoint → in-memory NE++ phase.
 
-``degrees_df`` also feeds the τ footprint sweep (:mod:`repro.tau`). The
-driver-side partitioner cores classify and split with the two numpy
-functions at the bottom (``high_mask_np``, ``split_edges_np``; per-vertex
-degrees come from ``EdgeList.degrees``). Tests assert numpy and Spark
-agree and oracle-check the Spark jobs against DuckDB SQL.
+``degrees_df`` also feeds the τ footprint sweep (:mod:`repro.tau`),
+which prices each τ on the driver with the numpy rule ``high_mask_np``.
+The driver-side partitioner cores classify with that same rule
+(per-vertex degrees come from ``EdgeList.degrees``); HEP's numpy split
+is the pruned CSR's ``h2h``. Tests assert numpy and Spark agree and
+oracle-check the Spark jobs against DuckDB SQL.
 """
 from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-from .generators import EdgeList
 
 
 def degrees_df(edges: DataFrame) -> DataFrame:
@@ -45,24 +44,24 @@ def high_vertices(degrees: DataFrame, tau: float) -> DataFrame:
 
 
 def split_edges(edges: DataFrame, high: DataFrame) -> tuple[DataFrame, DataFrame]:
-    """Split into (in-memory edges, E_h2h) given the high-vertex set."""
-    h_src = high.select(F.col("v").alias("src")).withColumn("src_high", F.lit(True))
-    h_dst = high.select(F.col("v").alias("dst")).withColumn("dst_high", F.lit(True))
-    marked = (
-        edges.join(h_src, on="src", how="left")
-        .join(h_dst, on="dst", how="left")
-        .withColumn("h2h", F.coalesce("src_high", F.lit(False)) & F.coalesce("dst_high", F.lit(False)))
+    """Split into (in-memory edges, E_h2h) given the high-vertex set.
+
+    E_h2h is two semi-joins with the high set, the rest an anti-join
+    with E_h2h. A using-join puts its key column first, hence the
+    ``select``s.
+    """
+    h2h = (
+        edges.join(high.withColumnRenamed("v", "src"), "src", "left_semi")
+        .join(high.withColumnRenamed("v", "dst"), "dst", "left_semi")
+        .select("src", "dst")
     )
-    keep = ["src", "dst"]
-    inmem = marked.where(~F.col("h2h")).select(*keep)
-    h2h = marked.where(F.col("h2h")).select(*keep)
+    inmem = edges.join(h2h, ["src", "dst"], "left_anti").select("src", "dst")
     return inmem, h2h
 
 
-# --- numpy twins (used by the driver-side partitioner cores) -----------
-
 def high_mask_np(deg: np.ndarray, tau: float) -> np.ndarray:
-    """Boolean mask of high-degree vertices.
+    """Boolean mask of high-degree vertices: the one τ rule, used by
+    the pruned CSR, the §4.2 model and the Spark sweep alike.
 
     The mean is taken over vertices with degree ≥ 1, matching
     :func:`mean_degree` (compact analog graphs have no isolated
@@ -71,9 +70,3 @@ def high_mask_np(deg: np.ndarray, tau: float) -> np.ndarray:
     nz = deg[deg > 0]
     mean = nz.mean() if len(nz) else 0.0
     return deg > tau * mean
-
-
-def split_edges_np(el: EdgeList, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split the edge array into (in-memory edges, E_h2h)."""
-    h2h = high[el.edges[:, 0]] & high[el.edges[:, 1]]
-    return el.edges[~h2h], el.edges[h2h]

@@ -74,7 +74,7 @@ def run_nepp_paged(el, *, k: int, tau: float, limit_bytes: int) -> PagingRun:
     csr = build_pruned_csr(el, tau=tau)
     csr.touch = cache.touch
     t0 = time.perf_counter()
-    partition_nepp(el, k=k, tau=tau, csr=csr)
+    partition_nepp(el, k=k, csr=csr)
     compute = time.perf_counter() - t0
     return PagingRun(
         limit_bytes=limit_bytes,

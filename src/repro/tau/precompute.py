@@ -7,47 +7,47 @@ terms, and picks the largest τ that fits. The paper reports this step's
 run-time per graph (Table 2) and argues it is negligible next to
 partitioning; our Table 2 bench measures the same.
 
-The sweep reads the degree table twice: once for the mean degree and
-the id space, then once for a conditional sum per τ candidate, all
-computed in a single aggregation.
+The sweep reads the degree table once: Spark computes the degree
+histogram, and the driver prices every τ with the §4.2 formula
+(:func:`~repro.core.memory_model.hep_footprint_bytes`).
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.memory_model import hep_fixed_bytes
-from ..graphs.csr import ID_BYTES
+from ..core.memory_model import hep_footprint_bytes
 from ..graphs.degrees import degrees_df
 
 
 def footprint_sweep(
     edges: DataFrame, *, taus: list[float], k: int
 ) -> list[tuple[float, int]]:
-    """[(τ, modeled HEP footprint in bytes)]: one Spark aggregation for
-    the mean degree and the id space, then one for every τ at once.
+    """[(τ, modeled HEP footprint in bytes)] from one Spark aggregation,
+    the degree histogram with the largest id of each degree.
 
-    |V| in the fixed terms is the id space max(v) + 1, as in
-    :func:`~repro.core.memory_model.hep_footprint_bytes` and the pruned
-    CSR. Ids above the largest endpoint cannot be seen from an edge
-    DataFrame, so a graph whose highest ids are isolated is undercounted.
+    The histogram is expanded on the driver into a zero-padded int64
+    degree array over the id space max(v) + 1: 8 bytes per id, a third
+    of the 24·|V| bytes of index arrays the footprint itself budgets
+    (pricing a τ briefly copies it about twice more). |V| is thus the
+    id space, as in the model and the pruned CSR. Ids above the largest
+    endpoint cannot be seen from an edge DataFrame, so a graph whose
+    highest ids are isolated is undercounted.
     """
-    deg = degrees_df(edges).localCheckpoint()
-    mean, top = deg.agg(F.avg("degree"), F.max("v")).first()
-    n = int(top) + 1
-    aggs = [
-        F.sum(
-            F.when(F.col("degree") <= F.lit(tau * mean), F.col("degree")).otherwise(
-                F.lit(0)
-            )
-        ).alias(f"t{i}")
-        for i, tau in enumerate(taus)
-    ]
-    row = deg.agg(*aggs).first()
-    fixed = hep_fixed_bytes(n, k=k)
-    return [
-        (tau, int(row[f"t{i}"]) * ID_BYTES + fixed) for i, tau in enumerate(taus)
-    ]
+    hist = (
+        degrees_df(edges)
+        .groupBy("degree")
+        .agg(F.count("*").alias("vertices"), F.max("v").alias("top"))
+        .collect()
+    )
+    if not hist:
+        raise ValueError("footprint_sweep needs at least one edge; the edge DataFrame is empty")
+    n = max(r["top"] for r in hist) + 1
+    deg = np.zeros(n, dtype=np.int64)
+    nonzero = np.repeat([r["degree"] for r in hist], [r["vertices"] for r in hist])
+    deg[: len(nonzero)] = nonzero
+    return [(tau, hep_footprint_bytes(deg, tau=tau, k=k)) for tau in taus]
 
 
 def max_tau_within(

@@ -3,16 +3,18 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.memory_model import hep_fixed_bytes
+from repro.graphs.csr import build_pruned_csr
 from repro.graphs.degrees import (
     degrees_df,
     high_mask_np,
     high_vertices,
     mean_degree,
     split_edges,
-    split_edges_np,
 )
-from repro.graphs.generators import to_pandas, to_spark
+from repro.graphs.generators import EdgeList, to_pandas, to_spark
 from repro.oracle import assert_equivalent
+from repro.tau.precompute import footprint_sweep
 
 from .conftest import tiny_graph
 
@@ -65,9 +67,8 @@ def test_split_matches_numpy(spark, tau):
     edges = to_spark(spark, el)
     high = high_vertices(degrees_df(edges), tau)
     inmem, h2h = split_edges(edges, high)
-    mask = high_mask_np(el.degrees(), tau)
-    inmem_np, h2h_np = split_edges_np(el, mask)
-    assert inmem.count() == len(inmem_np)
+    h2h_np = build_pruned_csr(el, tau=tau).h2h
+    assert inmem.count() == el.m - len(h2h_np)
     assert h2h.count() == len(h2h_np)
     got = {(r["src"], r["dst"]) for r in h2h.collect()}
     want = {(int(a), int(b)) for a, b in h2h_np}
@@ -102,12 +103,20 @@ def test_h2h_oracle_via_join(spark):
 
 def test_high_mask_threshold_strict(spark):
     """d(v) > τ·∅_d is strict: a vertex exactly at the mean is low at
-    τ=1 (star-free regular graph ⇒ nothing high)."""
-    import numpy as np
-
-    from repro.graphs.generators import EdgeList
-
+    τ=1 (star-free regular graph ⇒ nothing high), in every engine: the
+    numpy rule, the Spark split, the pruned CSR and the Spark sweep."""
     cyc = EdgeList(
         edges=np.array([[i, (i + 1) % 5] for i in range(5)], dtype=np.uint32), n=5
     )
     assert not high_mask_np(cyc.degrees(), 1.0).any()
+    edges = to_spark(spark, cyc)
+    high = high_vertices(degrees_df(edges), 1.0)
+    assert high.count() == 0
+    inmem, h2h = split_edges(edges, high)
+    assert (inmem.count(), h2h.count()) == (5, 0)
+    csr = build_pruned_csr(cyc, tau=1.0)
+    assert not csr.high.any() and len(csr.h2h) == 0 and len(csr.col) == 10
+    # the sweep against the column array HEP actually builds
+    assert footprint_sweep(edges, taus=[1.0], k=4) == [
+        (1.0, 4 * len(csr.col) + hep_fixed_bytes(5, k=4))
+    ]

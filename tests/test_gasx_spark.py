@@ -53,7 +53,9 @@ def test_vertices_count(adf_hep, el):
 def test_pagerank_matches_reference(el, hep, adf_hep):
     ranks, stats = pagerank(adf_hep, n_iter=3)
     ref = pagerank_ref(el, n_iter=3)
-    for r in ranks.collect():
+    rows = ranks.collect()
+    assert len(rows) == vertices(adf_hep).count()  # every incident vertex
+    for r in rows:
         assert r["rank"] == pytest.approx(ref[r["v"]], abs=1e-9)
     assert stats.iterations == 3
     # every replica pair receives a message in every iteration

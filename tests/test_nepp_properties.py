@@ -45,7 +45,7 @@ def test_high_degree_adjacency_never_read(name):
     spans.sort()
     accesses = []
     csr.touch = lambda lo, hi: accesses.append((lo, hi))
-    partition_nepp(el, k=8, tau=1.0, csr=csr)
+    partition_nepp(el, k=8, csr=csr)
     import bisect
 
     starts = [s for s, _ in spans]
@@ -61,7 +61,7 @@ def test_cleanup_removes_only_fraction(name, k):
     array than eager removal's 100% (absolute fractions shrink with
     graph scale; the bench re-measures at bench scale)."""
     el = tiny_graph(name)
-    res = partition_nepp(el, k=k, tau=10.0)
+    res = partition_nepp(el, k=k, csr=build_pruned_csr(el, tau=10.0))
     frac = res.stats["cleaned_entries"] / max(res.stats["initial_col_entries"], 1)
     assert frac < 0.95, f"cleanup touched {frac:.0%} of the column array"
 
@@ -71,7 +71,8 @@ def test_cleanup_fraction_smaller_on_web_graph():
     graphs (OK) — the expansion keeps S_i small on local structure."""
     frac = {}
     for name in ("IT", "OK"):
-        res = partition_nepp(tiny_graph(name), k=32, tau=10.0)
+        el = tiny_graph(name)
+        res = partition_nepp(el, k=32, csr=build_pruned_csr(el, tau=10.0))
         frac[name] = res.stats["cleaned_entries"] / res.stats["initial_col_entries"]
     assert frac["IT"] < frac["OK"]
 
@@ -93,7 +94,7 @@ def test_capacity_bound_adapted(name):
     ⌈|E \\ E_h2h|/k⌉, not ⌈|E|/k⌉."""
     el = tiny_graph(name)
     k = 8
-    res = partition_nepp(el, k=k, tau=1.0)
+    res = partition_nepp(el, k=k, csr=build_pruned_csr(el, tau=1.0))
     m_inmem = res.stats["m_inmem"]
     assert res.stats["cap"] == -(-m_inmem // k)
     assert res.sizes.max() <= res.stats["cap"] + el.degrees().max()
@@ -101,7 +102,7 @@ def test_capacity_bound_adapted(name):
 
 def test_low_tau_classifies_high_vertices():
     el = tiny_graph("OK")
-    res = partition_nepp(el, k=8, tau=1.0)
+    res = partition_nepp(el, k=8, csr=build_pruned_csr(el, tau=1.0))
     assert res.stats["high_count"] > 0
     assert res.stats["m_inmem"] < el.m
 
@@ -110,7 +111,8 @@ def test_tau_monotone_h2h():
     """Lower τ ⇒ more high-degree vertices ⇒ more streamed edges."""
     el = tiny_graph("OK")
     h2h_sizes = [
-        el.m - partition_nepp(el, k=8, tau=t).stats["m_inmem"] for t in (100.0, 2.0, 1.0, 0.5)
+        el.m - partition_nepp(el, k=8, csr=build_pruned_csr(el, tau=t)).stats["m_inmem"]
+        for t in (100.0, 2.0, 1.0, 0.5)
     ]
     assert h2h_sizes == sorted(h2h_sizes)
 
@@ -120,7 +122,7 @@ def test_all_partitions_within_cap_plus_spill():
     last may take the remainder)."""
     el = tiny_graph("OK")
     k = 32
-    res = partition_nepp(el, k=k, tau=100.0)
+    res = partition_nepp(el, k=k, csr=build_pruned_csr(el, tau=100.0))
     cap = res.stats["cap"]
     assert (res.sizes[:-1] <= cap).all()
 
@@ -133,7 +135,7 @@ def test_hep_streaming_warm_start_used():
     k = 16
     rf_informed = partition_hep(el, k=k, tau=1.0).replication_factor()
     csr = build_pruned_csr(el, tau=1.0)
-    inmem = partition_nepp(el, k=k, tau=1.0, csr=csr)
+    inmem = partition_nepp(el, k=k, csr=csr)
     rf_random = _stream_h2h(el, inmem, csr.h2h, method="random").replication_factor()
     assert rf_informed <= rf_random
 
@@ -160,5 +162,6 @@ def test_empty_partitions_allowed_for_tiny_graphs():
 def test_stats_hold_no_arrays():
     """Stats are scalars: E_h2h stays in the pruned CSR, not in a result."""
     el = tiny_graph("OK")
-    for res in (partition_nepp(el, k=8, tau=1.0), partition_hep(el, k=8, tau=1.0)):
+    nepp = partition_nepp(el, k=8, csr=build_pruned_csr(el, tau=1.0))
+    for res in (nepp, partition_hep(el, k=8, tau=1.0)):
         assert not any(isinstance(v, np.ndarray) for v in res.stats.values())

@@ -79,7 +79,7 @@ def test_nepp_plus_h2h_cover_everything(tau, k):
     """NE++'s assignment plus its external h2h edges cover the graph."""
     el = tiny_graph("OK")
     csr = build_pruned_csr(el, tau=tau)
-    res = partition_nepp(el, k=k, tau=tau, csr=csr)
+    res = partition_nepp(el, k=k, csr=csr)
     assert res.assignment.shape[0] + len(csr.h2h) == el.m
 
 

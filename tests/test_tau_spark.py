@@ -58,6 +58,12 @@ def test_max_tau_none_when_budget_tiny(spark):
     )
 
 
+def test_sweep_rejects_empty_edges(spark):
+    empty = spark.createDataFrame([], "src long, dst long")
+    with pytest.raises(ValueError, match="at least one edge"):
+        footprint_sweep(empty, taus=TAUS, k=32)
+
+
 def test_single_pass_many_taus(spark):
     """The sweep is one aggregation regardless of the τ-grid size."""
     el = tiny_graph("LJ")
