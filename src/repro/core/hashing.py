@@ -26,7 +26,7 @@ def knuth_bucket(ids: np.ndarray, k: int) -> np.ndarray:
 def dbh_np(el: EdgeList, *, k: int) -> PartitionResult:
     """Degree-Based Hashing: each edge goes to the hash of its
     lower-degree endpoint."""
-    deg = el.degrees().astype(np.int64)
+    deg = el.degrees()
     src = el.edges[:, 0].astype(np.int64)
     dst = el.edges[:, 1].astype(np.int64)
     use_src = (deg[src] < deg[dst]) | ((deg[src] == deg[dst]) & (src < dst))

@@ -11,7 +11,7 @@ classified high-degree ⇒ smaller column array, more edges streamed.
 The simple hybrid (Fig. 9) swaps both phases' algorithms — plain NE
 on G_REST (full CSR, eager bookkeeping) and uninformed random
 streaming of G_H2H — and shares everything else, phase 2's warm start
-and concatenation included, so the ablation measures the design, not
+and assignment included, so the ablation measures the design, not
 the hybridization.
 
 The HDRF / Greedy / random baselines are phase 2 run over every edge
@@ -27,7 +27,7 @@ import numpy as np
 from ..graphs.csr import CSR, build_pruned_csr
 from ..graphs.degrees import high_mask_np
 from ..graphs.generators import EdgeList
-from .common import PartitionResult, assignment_array
+from .common import PartitionResult
 from .ne import partition_ne
 from .nepp import partition_nepp
 from .streaming import ALPHA, stream_edges
@@ -58,7 +58,7 @@ def partition_hep(
 def partition_simple_hybrid(el: EdgeList, *, k: int, tau: float) -> PartitionResult:
     """NE on G_REST + random streaming on G_H2H at threshold ``tau``."""
     t0 = time.perf_counter()
-    high = high_mask_np(el.degrees().astype(np.int64), tau)
+    high = high_mask_np(el.degrees(), tau)
     is_h2h = high[el.edges[:, 0]] & high[el.edges[:, 1]]
     rest, h2h = el.edges[~is_h2h], el.edges[is_h2h]
     # NE runs on the rest-subgraph; vertex ids are shared with el so no
@@ -105,10 +105,11 @@ def _stream_h2h(
         method=method,
     )
     t_stream_s = time.perf_counter() - t1
-    assignment = inmem.assignment
-    if len(edges):
-        streamed = assignment_array(edges[:, 0], edges[:, 1], pids)
-        assignment = np.concatenate([assignment, streamed]) if len(assignment) else streamed
+    m0 = len(inmem.assignment)
+    assignment = np.empty((m0 + len(edges), 3), dtype=np.int64)
+    assignment[:m0] = inmem.assignment
+    assignment[m0:, :2] = edges
+    assignment[m0:, 2] = pids
     return PartitionResult(
         assignment=assignment,
         k=k,

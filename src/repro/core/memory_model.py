@@ -27,8 +27,8 @@ def hep_fixed_bytes(n: int, *, k: int) -> int:
 
 def hep_footprint_bytes(deg: np.ndarray, *, tau: float, k: int) -> int:
     """§4.2 formula for HEP at threshold τ with k partitions."""
-    high = high_mask_np(deg.astype(np.int64), tau)
-    col = int(deg[~high].sum()) * ID_BYTES
+    high = high_mask_np(deg, tau)
+    col = int(deg.sum(where=~high)) * ID_BYTES
     return col + hep_fixed_bytes(len(deg), k=k)
 
 

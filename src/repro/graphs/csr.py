@@ -111,8 +111,8 @@ def _fill_lists(
     ``col``. ``eid`` (full CSR only) gives the edge id of each entry of
     both lists, which then come from the same edge order.
     """
-    out_size = np.bincount(out_lists[0], minlength=n).astype(np.int64)
-    in_size = np.bincount(in_lists[0], minlength=n).astype(np.int64)
+    out_size = np.bincount(out_lists[0], minlength=n)
+    in_size = np.bincount(in_lists[0], minlength=n)
     total = out_size + in_size
     out_start = np.concatenate([[0], np.cumsum(total)])[:-1]
     in_start = out_start + out_size
@@ -146,8 +146,7 @@ def _fill_lists(
 
 def build_csr(el: EdgeList) -> CSR:
     """Full CSR over all edges (the NE baseline's representation)."""
-    src = el.edges[:, 0].astype(np.int64)
-    dst = el.edges[:, 1].astype(np.int64)
+    src, dst = el.edges[:, 0], el.edges[:, 1]
     return _fill_lists(
         el.n,
         (src, dst),
@@ -165,10 +164,8 @@ def build_pruned_csr(el: EdgeList, *, tau: float) -> CSR:
     array (the paper's external-memory edge file); an edge with exactly
     one high endpoint survives only in the low endpoint's list.
     """
-    deg = el.degrees().astype(np.int64)
-    high = high_mask_np(deg, tau)
-    src = el.edges[:, 0].astype(np.int64)
-    dst = el.edges[:, 1].astype(np.int64)
+    high = high_mask_np(el.degrees(), tau)
+    src, dst = el.edges[:, 0], el.edges[:, 1]
     # a list entry is kept iff its owner is low-degree; an edge kept on
     # neither side is an h2h edge
     out_keep = ~high[src]

@@ -1,7 +1,7 @@
 """Degree pipeline and the τ split (paper §3.1) as Spark DataFrame jobs.
 
-The split classifies vertices into high-degree (``d(v) > τ·mean_degree``)
-and low-degree, then partitions the edge set into
+The split classifies vertices into high-degree (``d(v) > τ·∅_d``, with
+∅_d the mean degree) and low-degree, then partitions the edge set into
 
 * ``E_h2h`` — both endpoints high-degree → streaming phase, and
 * ``E \\ E_h2h`` — at least one low endpoint → in-memory NE++ phase.
@@ -32,15 +32,11 @@ def degrees_df(edges: DataFrame) -> DataFrame:
     return ends.groupBy("v").agg(F.count("*").alias("degree"))
 
 
-def mean_degree(degrees: DataFrame) -> float:
-    """Mean vertex degree ∅_d over vertices incident to ≥1 edge."""
-    return float(degrees.agg(F.avg("degree")).first()[0])
-
-
 def high_vertices(degrees: DataFrame, tau: float) -> DataFrame:
-    """Vertices with d(v) > τ·∅_d: DataFrame(v)."""
-    thresh = tau * mean_degree(degrees)
-    return degrees.where(F.col("degree") > F.lit(thresh)).select("v")
+    """Vertices with d(v) > τ·∅_d: DataFrame(v). The threshold is a
+    one-row aggregate cross-joined into the same plan, one Spark job."""
+    thresh = degrees.agg((F.lit(tau) * F.avg("degree")).alias("thresh"))
+    return degrees.crossJoin(thresh).where(F.col("degree") > F.col("thresh")).select("v")
 
 
 def split_edges(edges: DataFrame, high: DataFrame) -> tuple[DataFrame, DataFrame]:
@@ -63,10 +59,10 @@ def high_mask_np(deg: np.ndarray, tau: float) -> np.ndarray:
     """Boolean mask of high-degree vertices: the one τ rule, used by
     the pruned CSR, the §4.2 model and the Spark sweep alike.
 
-    The mean is taken over vertices with degree ≥ 1, matching
-    :func:`mean_degree` (compact analog graphs have no isolated
-    vertices, but subgraphs passed through here may).
+    The mean is taken over vertices with degree ≥ 1, as in
+    :func:`high_vertices` (compact analog graphs have no isolated
+    vertices, but subgraphs passed through here may). Exact integer
+    sums make it ``deg[deg > 0].mean()`` bit for bit, without the copy.
     """
-    nz = deg[deg > 0]
-    mean = nz.mean() if len(nz) else 0.0
+    mean = deg.sum() / max(np.count_nonzero(deg), 1)
     return deg > tau * mean

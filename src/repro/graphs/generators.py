@@ -66,12 +66,9 @@ def _dedup_compact(src: np.ndarray, dst: np.ndarray) -> EdgeList:
     lo = np.minimum(src, dst).astype(np.uint64)
     hi = np.maximum(src, dst).astype(np.uint64)
     key = (lo << np.uint64(32)) | hi
-    # keep the first occurrence of each unordered pair, preserving input order
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    first_of_group = np.ones(len(key), dtype=bool)
-    first_of_group[1:] = sorted_key[1:] != sorted_key[:-1]
-    keep_idx = np.sort(order[first_of_group])
+    # keep the first occurrence of each unordered pair, preserving input
+    # order (return_index sorts stably, so it gives first occurrences)
+    keep_idx = np.sort(np.unique(key, return_index=True)[1])
     src, dst = src[keep_idx], dst[keep_idx]
     # compact relabel
     verts, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)

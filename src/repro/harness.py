@@ -58,7 +58,7 @@ def run_partitioner(name: str, el: EdgeList, *, k: int):
 
 def footprint_model(name: str, el: EdgeList, *, k: int) -> int:
     """§4.2-style modeled footprint for a lineup member."""
-    deg = el.degrees().astype(np.int64)
+    deg = el.degrees()
     if name.startswith("HEP-"):
         return hep_footprint_bytes(deg, tau=float(name.split("-")[1]), k=k)
     if name in ("NE", "SNE"):
@@ -223,7 +223,7 @@ def run_table6(
 ) -> list[dict]:
     """Paged NE++ at a ladder of memory limits vs HEP-1's footprint."""
     el = graph(name, scale=scale)
-    deg = el.degrees().astype(np.int64)
+    deg = el.degrees()
     full = hep_footprint_bytes(deg, tau=tau, k=k)
     rows = []
     for f in fractions:

@@ -30,10 +30,10 @@ def footprint_sweep(
     The histogram is expanded on the driver into a zero-padded int64
     degree array over the id space max(v) + 1: 8 bytes per id, a third
     of the 24·|V| bytes of index arrays the footprint itself budgets
-    (pricing a τ briefly copies it about twice more). |V| is thus the
-    id space, as in the model and the pruned CSR. Ids above the largest
-    endpoint cannot be seen from an edge DataFrame, so a graph whose
-    highest ids are isolated is undercounted.
+    (pricing a τ reads it in place and adds one-byte masks). |V| is
+    thus the id space, as in the model and the pruned CSR. Ids above the
+    largest endpoint cannot be seen from an edge DataFrame, so a graph
+    whose highest ids are isolated is undercounted.
     """
     hist = (
         degrees_df(edges)

@@ -9,7 +9,6 @@ from repro.graphs.degrees import (
     degrees_df,
     high_mask_np,
     high_vertices,
-    mean_degree,
     split_edges,
 )
 from repro.graphs.generators import EdgeList, to_pandas, to_spark
@@ -42,23 +41,31 @@ def test_degrees_match_numpy(spark, name):
     assert len(rows) == int((deg_np > 0).sum())
 
 
-def test_mean_degree_matches_numpy(spark):
-    el = tiny_graph("OK")
-    m_spark = mean_degree(degrees_df(to_spark(spark, el)))
-    deg = el.degrees()
-    assert m_spark == pytest.approx(deg[deg > 0].mean())
+def test_high_mask_np_is_mean_over_nonzero():
+    """The in-place mean equals ``deg[deg > 0].mean()`` bit for bit, on
+    arrays with zeros, with none of degree ≥ 1, and near 2³¹."""
+    rng = np.random.default_rng(5)
+    cases = [np.zeros(17, dtype=np.int64), np.array([0, 3, 3, 3], dtype=np.int64)]
+    for lo, hi in ((0, 50), (1, 10**4), (2**31 - 1000, 2**31 + 1000)):
+        for _ in range(20):
+            size = int(rng.integers(1, 400))
+            cases.append(rng.integers(lo, hi, size=size) * (rng.random(size) < 0.6))
+    for deg in cases:
+        nz = deg[deg > 0]
+        mean = nz.mean() if len(nz) else 0.0
+        for tau in (0.0, 0.5, 1.0, 2.5, 100.0):
+            np.testing.assert_array_equal(high_mask_np(deg, tau), deg > tau * mean)
 
 
 @pytest.mark.parametrize("tau", [1.0, 2.0])
 def test_high_vertices_oracle(spark, tau):
     el = tiny_graph("OK")
     edges = to_spark(spark, el)
-    deg = degrees_df(edges)
-    thresh = tau * mean_degree(deg)
     sql = f"""
-        SELECT v FROM ({DEGREE_SQL}) WHERE degree > {thresh!r}
+        WITH d AS ({DEGREE_SQL})
+        SELECT v FROM d WHERE degree > {tau!r} * (SELECT avg(degree) FROM d)
     """
-    assert_equivalent(high_vertices(deg, tau), sql, edges=to_pandas(el))
+    assert_equivalent(high_vertices(degrees_df(edges), tau), sql, edges=to_pandas(el))
 
 
 @pytest.mark.parametrize("tau", [1.0, 2.0, 10.0])
@@ -88,15 +95,13 @@ def test_h2h_oracle_via_join(spark):
     """The h2h split expressed independently in DuckDB SQL."""
     el = tiny_graph("OK")
     edges = to_spark(spark, el)
-    deg = degrees_df(edges)
     tau = 1.0
-    thresh = tau * mean_degree(deg)
-    _, h2h = split_edges(edges, high_vertices(deg, tau))
+    _, h2h = split_edges(edges, high_vertices(degrees_df(edges), tau))
     sql = f"""
-        WITH d AS ({DEGREE_SQL})
-        SELECT e.src, e.dst FROM edges e
+        WITH d AS ({DEGREE_SQL}), t AS (SELECT {tau!r} * avg(degree) AS thresh FROM d)
+        SELECT e.src, e.dst FROM edges e, t
         JOIN d ds ON ds.v = e.src JOIN d dd ON dd.v = e.dst
-        WHERE ds.degree > {thresh!r} AND dd.degree > {thresh!r}
+        WHERE ds.degree > t.thresh AND dd.degree > t.thresh
     """
     assert_equivalent(h2h, sql, edges=to_pandas(el))
 

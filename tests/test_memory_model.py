@@ -1,7 +1,10 @@
 """§4.2 memory model + paging simulator unit tests."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.hep import partition_hep
 from repro.core.memory_model import (
     hep_fixed_bytes,
     hep_footprint_bytes,
@@ -51,6 +54,23 @@ def test_footprint_column_term_matches_pruned_csr():
     col_bytes = csr.col_entries * ID_BYTES
     fixed = 6 * el.n * ID_BYTES + int(np.ceil(el.n * (k + 1) / 8))
     assert hep_footprint_bytes(deg, tau=tau, k=k) == col_bytes + fixed
+
+
+@pytest.mark.parametrize("tau", [100.0, 10.0, 1.0])
+def test_hep_traced_peak_within_model(tau):
+    """Measured memory stays within a stated factor of the §4.2 model:
+    partition_hep's tracemalloc peak is at most 2·(model + the 24·|E|
+    bytes of the int64 (src, dst, pid) assignment)."""
+    el = tiny_graph("OK", scale=0.1)
+    k = 32
+    tracemalloc.start()
+    try:
+        partition_hep(el, k=k, tau=tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * (hep_footprint_bytes(el.degrees(), tau=tau, k=k) + 24 * el.m)
+    assert peak <= bound, f"traced peak {peak} B is {peak / bound:.2f}× the bound {bound} B"
 
 
 def test_streaming_footprint_smallest():
