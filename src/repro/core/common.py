@@ -57,6 +57,13 @@ class PartitionResult:
         return float(per.std() / per.mean())
 
 
+def check_k(k) -> None:
+    """Raise ``ValueError`` unless the partition count ``k`` is an
+    integer ≥ 1; every partitioner's entry point calls this first."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+
+
 def assignment_array(src, dst, pid) -> np.ndarray:
     """The ``(m, 3)`` int64 ``(src, dst, pid)`` array of a result.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.generators import EdgeList
-from .common import PartitionResult, assignment_array
+from .common import PartitionResult, assignment_array, check_k
 
 _KNUTH = 2654435761
 
@@ -26,6 +26,7 @@ def knuth_bucket(ids: np.ndarray, k: int) -> np.ndarray:
 def dbh_np(el: EdgeList, *, k: int) -> PartitionResult:
     """Degree-Based Hashing: each edge goes to the hash of its
     lower-degree endpoint."""
+    check_k(k)
     deg = el.degrees()
     src = el.edges[:, 0].astype(np.int64)
     dst = el.edges[:, 1].astype(np.int64)

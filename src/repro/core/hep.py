@@ -27,7 +27,7 @@ import numpy as np
 from ..graphs.csr import CSR, build_pruned_csr
 from ..graphs.degrees import high_mask_np
 from ..graphs.generators import EdgeList
-from .common import PartitionResult
+from .common import PartitionResult, check_k
 from .ne import partition_ne
 from .nepp import partition_nepp
 from .streaming import ALPHA, stream_edges
@@ -44,6 +44,7 @@ def partition_hep(
 
     ``csr`` is the pruned CSR for ``tau``, built here when not given; it
     is consumed (NE++'s clean-up mutates it)."""
+    check_k(k)
     t0 = time.perf_counter()
     csr = csr if csr is not None else build_pruned_csr(el, tau=tau)
     inmem = partition_nepp(el, k=k, csr=csr)
@@ -57,6 +58,7 @@ def partition_hep(
 
 def partition_simple_hybrid(el: EdgeList, *, k: int, tau: float) -> PartitionResult:
     """NE on G_REST + random streaming on G_H2H at threshold ``tau``."""
+    check_k(k)
     t0 = time.perf_counter()
     high = high_mask_np(el.degrees(), tau)
     is_h2h = high[el.edges[:, 0]] & high[el.edges[:, 1]]
@@ -74,6 +76,7 @@ def partition_streaming(el: EdgeList, *, k: int, method: str = "hdrf") -> Partit
     """Stand-alone streaming partitioner over the full edge list (the
     HDRF / Greedy / random baselines of the evaluation): phase 2 from
     an empty state."""
+    check_k(k)
     empty = PartitionResult(
         assignment=np.empty((0, 3), dtype=np.int64),
         k=k,

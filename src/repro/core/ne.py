@@ -22,11 +22,12 @@ import numpy as np
 
 from ..graphs.csr import build_csr
 from ..graphs.generators import EdgeList
-from .common import PartitionResult, assignment_array
+from .common import PartitionResult, assignment_array, check_k
 
 
 def partition_ne(el: EdgeList, *, k: int) -> PartitionResult:
     """Partition all edges of ``el`` into ``k`` parts with basic NE."""
+    check_k(k)
     csr = build_csr(el)
     n, m = csr.n, el.m
     cap = max(1, -(-m // k))

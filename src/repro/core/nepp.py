@@ -22,7 +22,9 @@ Differences from the NE baseline (:mod:`repro.core.ne`), per the paper:
   only, avoiding double assignment without any bookkeeping).
 * **Spill-over** (Alg. 1, lines 26-28): edges overflowing a full
   partition go to the next partition, whose covered set gains their
-  endpoints.
+  endpoints. So each of the first k−1 partitions closes at exactly the
+  cap, or once every in-memory edge is assigned, and the last one gets
+  at most m_inmem − (k−1)·cap ≤ cap: every partition stays within it.
 """
 from __future__ import annotations
 
@@ -32,15 +34,10 @@ import numpy as np
 
 from ..graphs.csr import CSR
 from ..graphs.generators import EdgeList
-from .common import PartitionResult
+from .common import PartitionResult, check_k
 
 
-def partition_nepp(
-    el: EdgeList,
-    *,
-    k: int,
-    csr: CSR,
-) -> PartitionResult:
+def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
     """Partition the in-memory edge set of ``el`` into ``k`` parts.
 
     Returns a :class:`PartitionResult` whose assignment covers only the
@@ -50,6 +47,7 @@ def partition_nepp(
     whose ``high`` mask carries the τ classification; it may carry a
     paging ``touch`` hook, and it is consumed (mutated by clean-up).
     """
+    check_k(k)
     n = csr.n
     high = csr.high
     m_inmem = el.m - len(csr.h2h)
@@ -66,54 +64,63 @@ def partition_nepp(
     cleaned_entries = 0
     seed_ptr = 0
 
-    def record(count: int, pid: int) -> np.ndarray:
-        """Give the next ``count`` rows of ``assignment`` to ``pid`` and
-        return them; the caller writes their (src, dst)."""
-        nonlocal assigned_total
-        rows = assignment[assigned_total : assigned_total + count]
-        rows[:, 2] = pid
-        sizes[pid] += count
-        assigned_total += count
-        return rows
-
-    def assign_split(v: int, w_out: np.ndarray, w_in: np.ndarray, i: int) -> None:
-        """Assign the edges between vertex ``v`` and its already-covered
+    def assign(v: int, w_out: np.ndarray, w_in: np.ndarray, i: int) -> None:
+        """Assign the edges between vertex ``v`` and its covered
         neighbors (``w_out`` from v's out-list ⇒ edges (v, w); ``w_in``
-        from v's in-list ⇒ edges (w, v)), spilling any overflow beyond
-        partition i's capacity onward (Alg. 1 lines 26-28). The spill
-        cascades across subsequent partitions so that none exceeds its
-        capacity bound — the paper reports perfect edge balance for
-        HEP; the last partition absorbs any remainder. Spilled
-        endpoints join the covered set of their partition."""
-        no, ni = len(w_out), len(w_in)
-        if no + ni == 0:
-            return
-        # (src, dst) go in place at the cursor; record() then hands each
-        # run of these rows to its partition
-        rows = assignment[assigned_total : assigned_total + no + ni]
+        from v's in-list ⇒ edges (w, v)) to partition ``i``, spilling
+        onward what does not fit under ``cap`` (Alg. 1 lines 26-28).
+        Both endpoints of a run join its partition's covered set: this
+        covers high-degree endpoints, whose a-priori S_i membership is
+        never materialized, and spilled endpoints."""
+        nonlocal assigned_total
+        no = len(w_out)
+        end = assigned_total + no + len(w_in)
+        rows = assignment[assigned_total:end]
         rows[:no, 0] = v
         rows[:no, 1] = w_out
         rows[no:, 0] = w_in
         rows[no:, 1] = v
-        pos, j = 0, i
-        while pos < len(rows):
-            if j >= k - 1:
-                j = k - 1
-                take = len(rows) - pos
-            else:
-                room = int(cap - sizes[j])
-                if room <= 0:
-                    j += 1
-                    continue
-                take = min(room, len(rows) - pos)
-            seg = record(take, j)
-            # mark both endpoints replicated on j — this also covers
-            # high-degree endpoints, whose a-priori S_i membership is
-            # never materialized by the move functions, and spilled
-            # endpoints joining S_{i+1}
-            replicas[j, seg[:, 0]] = True
-            replicas[j, seg[:, 1]] = True
-            pos += take
+        j = i
+        while assigned_total < end:
+            remaining = end - assigned_total
+            take = remaining if j >= k - 1 else min(int(cap - sizes[j]), remaining)
+            if take <= 0:
+                j += 1
+                continue
+            run = assignment[assigned_total : assigned_total + take]
+            run[:, 2] = j
+            sizes[j] += take
+            replicas[j, run[:, 0]] = True
+            replicas[j, run[:, 1]] = True
+            assigned_total += take
+
+    def join(u: int) -> None:
+        """MoveToSecondary (Alg. 1 lines 16-28) into the current S_i,
+        with high-degree vertices counted as members of S_i. Only
+        called inside the partition loop, which binds ``i``, ``s_list``
+        and ``heap``."""
+        in_s[u] = True
+        replicas[i, u] = True
+        s_list.append(u)
+        out_nb = csr.out_neighbors(u)
+        in_nb = csr.in_neighbors(u)
+        no = len(out_nb)
+        nb = np.concatenate([out_nb, in_nb]).astype(np.int64)
+        hit = core[nb] | in_s[nb] | high[nb]
+        # edges to already-covered neighbors are assigned now; the
+        # out-list holds (u, w) edges, the in-list (w, u) edges.
+        w_out = nb[:no][hit[:no]]
+        w_in = nb[no:][hit[no:]]
+        assign(u, w_out, w_in, i)
+        d_ext[u] = len(nb) - len(w_out) - len(w_in)
+        heapq.heappush(heap, (int(d_ext[u]), u))
+        # external degrees of low S_i neighbors shrink by one
+        w_all = np.concatenate([w_out, w_in])
+        upd = w_all[in_s[w_all] & ~core[w_all]]
+        if len(upd):
+            np.subtract.at(d_ext, upd, 1)
+            for wi in upd.tolist():
+                heapq.heappush(heap, (int(d_ext[wi]), wi))
 
     for i in range(k - 1):
         if assigned_total >= m_inmem:
@@ -121,51 +128,6 @@ def partition_nepp(
         in_s[:] = False
         s_list: list[int] = []
         heap: list[tuple[int, int]] = []
-
-        def move_to_secondary(u: int, i: int = i, s_list=s_list, heap=heap) -> None:
-            """Alg. 1 lines 16-28, with high-degree vertices counted as
-            members of S_i and capacity-aware spill."""
-            in_s[u] = True
-            replicas[i, u] = True
-            s_list.append(u)
-            out_nb = csr.out_neighbors(u)
-            in_nb = csr.in_neighbors(u)
-            no = len(out_nb)
-            nb = np.concatenate([out_nb, in_nb]).astype(np.int64)
-            hit = core[nb] | in_s[nb] | high[nb]
-            # edges to already-covered neighbors are assigned now; the
-            # out-list holds (u, w) edges, the in-list (w, u) edges.
-            w_out = nb[:no][hit[:no]]
-            w_in = nb[no:][hit[no:]]
-            assign_split(u, w_out, w_in, i)
-            d_ext[u] = len(nb) - len(w_out) - len(w_in)
-            heapq.heappush(heap, (int(d_ext[u]), u))
-            # external degrees of low S_i neighbors shrink by one
-            w_all = np.concatenate([w_out, w_in])
-            upd = w_all[in_s[w_all] & ~core[w_all]]
-            if len(upd):
-                np.subtract.at(d_ext, upd, 1)
-                for wi in upd.tolist():
-                    heapq.heappush(heap, (int(d_ext[wi]), wi))
-
-        def move_to_core(v: int, i: int = i) -> None:
-            """Alg. 1 lines 12-15. For seeds (never in S_i) the edges to
-            a-priori-secondary high-degree neighbors are assigned here,
-            since no MoveToSecondary will ever scan the high side."""
-            was_in_s = bool(in_s[v])
-            core[v] = True
-            replicas[i, v] = True
-            out_nb = csr.out_neighbors(v)
-            in_nb = csr.in_neighbors(v)
-            if not was_in_s:
-                h_out = out_nb[high[out_nb]].astype(np.int64)
-                h_in = in_nb[high[in_nb]].astype(np.int64)
-                assign_split(v, h_out, h_in, i)
-            nb = np.concatenate([out_nb, in_nb])
-            cand = nb[~(core[nb] | in_s[nb] | high[nb])]
-            for wi in cand.tolist():
-                move_to_secondary(wi)
-
         while sizes[i] < cap and assigned_total < m_inmem:
             v = -1
             while heap:
@@ -182,7 +144,18 @@ def partition_nepp(
                 if seed_ptr >= n:
                     break  # no suitable vertex anywhere: all edges done
                 v = seed_ptr
-            move_to_core(v)
+            # MoveToCore (Alg. 1 lines 12-15). A seed (never in S_i) has
+            # its edges to a-priori-secondary high-degree neighbors
+            # assigned here, since no join ever scans the high side.
+            out_nb = csr.out_neighbors(v)
+            in_nb = csr.in_neighbors(v)
+            if not in_s[v]:
+                assign(v, out_nb[high[out_nb]], in_nb[high[in_nb]], i)
+            core[v] = True
+            replicas[i, v] = True
+            nb = np.concatenate([out_nb, in_nb])
+            for w in nb[~(core[nb] | in_s[nb] | high[nb])].tolist():
+                join(w)
 
         # Clean-up (Alg. 2): only vertices still in S_i can be rescanned.
         for u in s_list:
@@ -198,24 +171,11 @@ def partition_nepp(
 
     # Last partition (Alg. 3): sweep low non-core vertices that still
     # hold column entries (the others cannot contribute edges).
-    last = k - 1
     nonempty = (csr.out_size + csr.in_size) > 0
     for v in np.flatnonzero(~high & ~core & nonempty).tolist():
-        out_nb = csr.out_neighbors(v).astype(np.int64)
-        if len(out_nb):
-            rows = record(len(out_nb), last)
-            rows[:, 0] = v
-            rows[:, 1] = out_nb
-            replicas[last, v] = True
-            replicas[last, out_nb] = True
-        in_nb = csr.in_neighbors(v).astype(np.int64)
-        in_high = in_nb[high[in_nb]]
-        if len(in_high):
-            rows = record(len(in_high), last)
-            rows[:, 0] = in_high
-            rows[:, 1] = v
-            replicas[last, v] = True
-            replicas[last, in_high] = True
+        out_nb = csr.out_neighbors(v)
+        in_nb = csr.in_neighbors(v)
+        assign(v, out_nb, in_nb[high[in_nb]], k - 1)
 
     return PartitionResult(
         assignment=assignment[:assigned_total],

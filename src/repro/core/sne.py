@@ -18,13 +18,14 @@ import heapq
 import numpy as np
 
 from ..graphs.generators import EdgeList
-from .common import PartitionResult, assignment_array
+from .common import PartitionResult, assignment_array, check_k
 
 
 def partition_sne(
     el: EdgeList, *, k: int, sample_size: float = 2.0
 ) -> PartitionResult:
     """Partition ``el`` into ``k`` parts with chunked streaming NE."""
+    check_k(k)
     m, n = el.m, el.n
     cap = max(1, -(-m // k))
     buf_cap = max(cap, int(sample_size * cap))

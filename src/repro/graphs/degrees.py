@@ -15,6 +15,8 @@ oracle-check the Spark jobs against DuckDB SQL.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -63,6 +65,10 @@ def high_mask_np(deg: np.ndarray, tau: float) -> np.ndarray:
     :func:`high_vertices` (compact analog graphs have no isolated
     vertices, but subgraphs passed through here may). Exact integer
     sums make it ``deg[deg > 0].mean()`` bit for bit, without the copy.
+    τ must be finite and ≥ 0; τ = 0 makes every vertex with an edge
+    high (HEP then streams everything, as the HDRF baseline does).
     """
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
     mean = deg.sum() / max(np.count_nonzero(deg), 1)
     return deg > tau * mean

@@ -221,21 +221,21 @@ def run_table6(
     tau: float = 100.0,
     fractions=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4),
 ) -> list[dict]:
-    """Paged NE++ at a ladder of memory limits vs HEP-1's footprint."""
+    """Paged NE++ at a ladder of memory limits (one NE++ run, replayed
+    per limit) vs HEP-1's footprint."""
     el = graph(name, scale=scale)
     deg = el.degrees()
     full = hep_footprint_bytes(deg, tau=tau, k=k)
-    rows = []
-    for f in fractions:
-        r = run_nepp_paged(el, k=k, tau=tau, limit_bytes=int(full * f))
-        rows.append(
-            dict(
-                limit_frac=f,
-                limit_bytes=r.limit_bytes,
-                hard_faults=r.hard_faults,
-                modeled_runtime_s=round(r.modeled_runtime_s, 3),
-            )
+    runs = run_nepp_paged(el, k=k, tau=tau, limits=[int(full * f) for f in fractions])
+    rows = [
+        dict(
+            limit_frac=f,
+            limit_bytes=r.limit_bytes,
+            hard_faults=r.hard_faults,
+            modeled_runtime_s=round(r.modeled_runtime_s, 3),
         )
+        for f, r in zip(fractions, runs)
+    ]
     # the HEP alternative at τ=1: smaller footprint, no faults
     hep1 = partition_hep(el, k=k, tau=1.0)
     rows.append(

@@ -10,9 +10,14 @@ HEP's fixed structures (§4.2). A miss on a never-seen page is a
 compulsory load (the initial file read — not a fault); a miss on a
 previously-resident page is a **hard page fault**. Run-time is modeled
 as measured compute time + faults × SSD latency.
+
+NE++ never reads the cache, so its touches do not depend on the memory
+limit: one NE++ run records them, and the trace is replayed against a
+fresh cache per limit.
 """
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -27,7 +32,6 @@ class LruPageCache:
         self.capacity_pages = max(1, -(-capacity_bytes // PAGE_SIZE))
         self._lru: OrderedDict[int, None] = OrderedDict()
         self._seen: set[int] = set()
-        self.hits = 0
         self.compulsory = 0
         self.hard_faults = 0
 
@@ -37,7 +41,6 @@ class LruPageCache:
         for page in range(byte_lo // PAGE_SIZE, (byte_hi - 1) // PAGE_SIZE + 1):
             if page in lru:
                 lru.move_to_end(page)
-                self.hits += 1
                 continue
             if page in self._seen:
                 self.hard_faults += 1
@@ -60,26 +63,37 @@ class PagingRun:
     modeled_runtime_s: float
 
 
-def run_nepp_paged(el, *, k: int, tau: float, limit_bytes: int) -> PagingRun:
-    """Run NE++ with the column array behind an LRU cache of
-    ``limit_bytes`` minus the fixed §4.2 structures."""
+def run_nepp_paged(el, *, k: int, tau: float, limits) -> list[PagingRun]:
+    """Run NE++ once, recording its column reads, and replay them
+    against an LRU cache of each limit in ``limits`` minus the fixed
+    §4.2 structures; one :class:`PagingRun` per limit, in order."""
     import time
 
     from ..core.memory_model import hep_fixed_bytes
     from ..core.nepp import partition_nepp
     from ..graphs.csr import build_pruned_csr
 
-    # only the column array pages; the §4.2 fixed structures are pinned
-    cache = LruPageCache(max(PAGE_SIZE, limit_bytes - hep_fixed_bytes(el.n, k=k)))
     csr = build_pruned_csr(el, tau=tau)
-    csr.touch = cache.touch
+    trace = array("q")  # (byte_lo, byte_hi) pairs, flattened
+    csr.touch = lambda lo, hi: trace.extend((lo, hi))
     t0 = time.perf_counter()
     partition_nepp(el, k=k, csr=csr)
     compute = time.perf_counter() - t0
-    return PagingRun(
-        limit_bytes=limit_bytes,
-        hard_faults=cache.hard_faults,
-        compulsory=cache.compulsory,
-        compute_s=compute,
-        modeled_runtime_s=compute + cache.hard_faults * SSD_FAULT_SECONDS,
-    )
+    fixed = hep_fixed_bytes(el.n, k=k)
+    runs = []
+    for limit_bytes in limits:
+        # only the column array pages; the §4.2 fixed structures are pinned
+        cache = LruPageCache(max(PAGE_SIZE, limit_bytes - fixed))
+        pairs = iter(trace)
+        for lo, hi in zip(pairs, pairs):
+            cache.touch(lo, hi)
+        runs.append(
+            PagingRun(
+                limit_bytes=limit_bytes,
+                hard_faults=cache.hard_faults,
+                compulsory=cache.compulsory,
+                compute_s=compute,
+                modeled_runtime_s=compute + cache.hard_faults * SSD_FAULT_SECONDS,
+            )
+        )
+    return runs

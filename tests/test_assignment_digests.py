@@ -9,6 +9,7 @@ from them — unchanged. If a change is *meant* to alter an assignment,
 re-record the affected digests and say why in CHANGES.md.
 """
 import hashlib
+from array import array
 
 import pytest
 
@@ -20,6 +21,8 @@ from repro.core import (
     partition_sne,
     partition_streaming,
 )
+from repro.core.nepp import partition_nepp
+from repro.graphs.csr import build_pruned_csr
 
 from .conftest import TEST_GRAPHS, tiny_graph
 
@@ -185,3 +188,36 @@ def test_digest_table_covers_matrix():
     assert set(DIGESTS) == {
         (p, g, k) for p in PARTITIONERS for g in TEST_GRAPHS for k in KS
     }
+
+
+# SHA-256 of NE++'s column-read trace at k=8: the ``(byte_lo, byte_hi)``
+# pairs its CSR ``touch`` hook sees, in call order, as int64. Table 6's
+# fault counts replay this trace, so its order is pinned with the
+# assignment.
+TRACE_DIGESTS = {
+    ("LJ", 100): "58c86bafb7e941843812b0a5d618fb9e987c554df4bef3207b9bb95218252fe5",
+    ("LJ", 1): "354854beb31e8c53fa7df7a0a35ab730b51a1668d356e8b5ca3afddaf2b7c70c",
+    ("OK", 100): "f81de15bf24d0895748dbea3b7e426307a269360481c1804774d3dd522b3fc00",
+    ("OK", 1): "adbae11d38b574c9e34170b2212a6d07689c4e28365f95924f4678d7c12db82b",
+    ("BR", 100): "ec5589b2f1052107b47ca4daece0c5100415042b7212b63302e96c5379f2fcfe",
+    ("BR", 1): "669da25b5bd8d6f563519a9382d7c3818dcc99bcbec61d766637e234355b6286",
+    ("WI", 100): "e7f3239cb3e010a987f4148865635a5fce449ecb97c55ce92423d654cc2cd072",
+    ("WI", 1): "e1771d840a0af3d0d70ccbaad1073a7d2ee4affad56f3a2226970c0bd3439b06",
+    ("IT", 100): "9e7b20f83d9091e69f08cadfb41c0917e5b5532657cb606e54617c2f9d225925",
+    ("IT", 1): "ba3fd451207e83cdb5804a7ae67f364b71e75552abeecc874ce5886b97f98f75",
+    ("TW", 100): "257e15bcc722a5815e546b9a59dbced3935835d4ee17d385446333a68a75bbe1",
+    ("TW", 1): "574c86f14d262042f93ca2edba27a5bbc3cd3ede5987e423e07da66c739a8a67",
+}
+
+
+@pytest.mark.parametrize("tau", [100, 1])
+@pytest.mark.parametrize("name", TEST_GRAPHS)
+def test_nepp_column_read_trace_digest(name, tau):
+    el = tiny_graph(name)
+    csr = build_pruned_csr(el, tau=float(tau))
+    trace = array("q")
+    csr.touch = lambda lo, hi: trace.extend((lo, hi))
+    partition_nepp(el, k=8, csr=csr)
+    assert hashlib.sha256(trace.tobytes()).hexdigest() == TRACE_DIGESTS[(name, tau)], (
+        f"NE++ column reads on {name}, tau={tau} differ from the recorded trace"
+    )

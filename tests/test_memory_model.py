@@ -111,10 +111,8 @@ def test_paged_nepp_fault_monotonicity():
     el = tiny_graph("OK")
     deg = el.degrees().astype(np.int64)
     full = hep_footprint_bytes(deg, tau=100.0, k=8)
-    faults = [
-        run_nepp_paged(el, k=8, tau=100.0, limit_bytes=int(full * f)).hard_faults
-        for f in (1.0, 0.5, 0.25)
-    ]
+    runs = run_nepp_paged(el, k=8, tau=100.0, limits=[int(full * f) for f in (1.0, 0.5, 0.25)])
+    faults = [r.hard_faults for r in runs]
     assert faults[0] <= faults[1] <= faults[2]
 
 
@@ -122,13 +120,11 @@ def test_paged_nepp_zero_faults_with_slack():
     el = tiny_graph("LJ")
     deg = el.degrees().astype(np.int64)
     full = hep_footprint_bytes(deg, tau=100.0, k=8)
-    r = run_nepp_paged(el, k=8, tau=100.0, limit_bytes=full * 4)
+    (r,) = run_nepp_paged(el, k=8, tau=100.0, limits=[full * 4])
     assert r.hard_faults == 0
     assert r.modeled_runtime_s == pytest.approx(r.compute_s)
     # Table 6's cache capacity is the limit minus the §4.2 fixed terms;
     # these counts pin it (a shifted capacity changes the fault count).
-    faults = [
-        run_nepp_paged(el, k=8, tau=100.0, limit_bytes=int(full * f)).hard_faults
-        for f in (1.0, 0.5)
-    ]
+    runs = run_nepp_paged(el, k=8, tau=100.0, limits=[int(full * f) for f in (1.0, 0.5)])
+    faults = [r.hard_faults for r in runs]
     assert faults == [0, 748]

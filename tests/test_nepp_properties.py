@@ -118,13 +118,16 @@ def test_tau_monotone_h2h():
 
 
 def test_all_partitions_within_cap_plus_spill():
-    """Cascading spill keeps every expansion partition at ≤ cap (the
-    last may take the remainder)."""
-    el = tiny_graph("OK")
-    k = 32
-    res = partition_nepp(el, k=k, csr=build_pruned_csr(el, tau=100.0))
-    cap = res.stats["cap"]
-    assert (res.sizes[:-1] <= cap).all()
+    """Cascading spill keeps every partition at ≤ cap, the last one
+    included: each of the first k−1 closes at exactly cap (or once all
+    in-memory edges are assigned), so the last gets at most
+    m_inmem − (k−1)·cap ≤ cap."""
+    for name in TEST_GRAPHS:
+        el = tiny_graph(name)
+        for k in (8, 32):
+            for tau in (100.0, 1.0):
+                res = partition_nepp(el, k=k, csr=build_pruned_csr(el, tau=tau))
+                assert (res.sizes <= res.stats["cap"]).all(), (name, k, tau, res.sizes)
 
 
 def test_hep_streaming_warm_start_used():

@@ -102,3 +102,28 @@ def test_replicas_superset_of_covered(pname):
     res = PARTITIONERS[pname](el, 8)
     cov = res.covered()
     assert (res.replicas | cov == res.replicas).all()
+
+
+ENTRY_POINTS = {
+    "partition_hep": lambda el, k, tau: partition_hep(el, k=k, tau=tau),
+    "partition_simple_hybrid": lambda el, k, tau: partition_simple_hybrid(el, k=k, tau=tau),
+    "partition_nepp": lambda el, k, tau: partition_nepp(
+        el, k=k, csr=build_pruned_csr(el, tau=tau)
+    ),
+    "partition_streaming": lambda el, k, tau: partition_streaming(el, k=k),
+    "partition_ne": lambda el, k, tau: partition_ne(el, k=k),
+    "partition_sne": lambda el, k, tau: partition_sne(el, k=k),
+    "dbh_np": lambda el, k, tau: dbh_np(el, k=k),
+}
+TAU_ENTRY_POINTS = ("partition_hep", "partition_simple_hybrid", "partition_nepp")
+
+
+@pytest.mark.parametrize(
+    "entry, arg, value",
+    [(e, "k", v) for e in ENTRY_POINTS for v in (0, -1, 2.5)]
+    + [(e, "tau", v) for e in TAU_ENTRY_POINTS for v in (-1.0, float("nan"), float("inf"))],
+)
+def test_bad_k_and_tau_rejected_up_front(entry, arg, value):
+    args = {"k": 4, "tau": 1.0, arg: value}
+    with pytest.raises(ValueError, match=f"^{arg} must"):
+        ENTRY_POINTS[entry](two_triangles(), args["k"], args["tau"])
