@@ -3,8 +3,15 @@
  * Build: gcc -O2 -std=c99 -fPIC -shared -ffp-contract=off. FMA
  * contraction must stay off so every score is rounded exactly as the
  * numpy reference (core/streaming.py:stream_edges_py) rounds it.
+ *
+ * Every array is allocated by the Python caller and checked there
+ * (shape, dtype, layout, id ranges) before it reaches C; the kernels
+ * allocate nothing.
  */
+#define _POSIX_C_SOURCE 199309L /* clock_gettime */
 #include <stdint.h>
+#include <string.h>
+#include <time.h>
 
 enum { METHOD_HDRF = 0, METHOD_GREEDY = 1 };
 
@@ -65,4 +72,355 @@ int stream_edges(const uint32_t *edges, int64_t m, uint8_t *replicas,
         sizes[best] += 1;
     }
     return 0;
+}
+
+/* ---- CSR build (paper §3.2.1; reference graphs/csr.py:_fill_lists_np) ---- */
+
+/* Count the list sizes of a (pruned) CSR over m edges: edge (u, v) puts
+ * v in u's out-list unless u is high, and u in v's in-list unless v is
+ * high (the full CSR has nothing high). out_size and in_size are (n,)
+ * and zeroed by the caller. Returns the total list entries, or -1
+ * if an id is >= n (nothing is then counted past that edge). */
+int64_t csr_count(const uint32_t *edges, int64_t m, int64_t n, const uint8_t *high,
+                  int64_t *out_size, int64_t *in_size) {
+    int64_t total = 0;
+    for (int64_t e = 0; e < m; e++) {
+        const int64_t u = edges[2 * e], v = edges[2 * e + 1];
+        if (u >= n || v >= n) return -1;
+        if (!high[u]) { out_size[u]++; total++; }
+        if (!high[v]) { in_size[v]++; total++; }
+    }
+    return total;
+}
+
+/* Fill the lists counted by csr_count into col (n_col entries) and, if
+ * col_eid is not NULL, the edge id of each entry into col_eid. A
+ * counting sort with one write cursor per list: each list holds its
+ * entries in edge order, and a vertex's out-list is followed by its
+ * in-list. Writes out_start and in_start; out_size and in_size serve as
+ * the cursors and end as they began. Returns 0, or -1 if the edges do
+ * not match the counts (a write would leave col). */
+int csr_fill(const uint32_t *edges, int64_t m, int64_t n, const uint8_t *high,
+             int64_t *out_start, int64_t *out_size, int64_t *in_start, int64_t *in_size,
+             uint32_t *col, int64_t *col_eid, int64_t n_col) {
+    int64_t at = 0;
+    for (int64_t v = 0; v < n; v++) {
+        out_start[v] = at;
+        in_start[v] = at + out_size[v];
+        at += out_size[v] + in_size[v];
+        out_size[v] = 0;
+        in_size[v] = 0;
+    }
+    for (int64_t e = 0; e < m; e++) {
+        const int64_t u = edges[2 * e], v = edges[2 * e + 1];
+        if (u >= n || v >= n) return -1;
+        if (!high[u]) {
+            const int64_t p = out_start[u] + out_size[u]++;
+            if (p >= n_col) return -1;
+            col[p] = (uint32_t)v;
+            if (col_eid) col_eid[p] = e;
+        }
+        if (!high[v]) {
+            const int64_t p = in_start[v] + in_size[v]++;
+            if (p >= n_col) return -1;
+            col[p] = (uint32_t)u;
+            if (col_eid) col_eid[p] = e;
+        }
+    }
+    return 0;
+}
+
+/* ---- NE++ (paper §3.2, Alg. 1-3; reference core/nepp.py:partition_nepp_py) ---- */
+
+enum { NEPP_OK = 0, NEPP_ROWS_FULL = -1, NEPP_FLUSH_FAILED = -2 };
+enum { NEPP_ASSIGNED, NEPP_CLEANED, NEPP_COL_READS, NEPP_COL_READ_BYTES, NEPP_SEED_PROBES,
+       NEPP_COUNTERS };
+enum { NEPP_EXPANSION_S, NEPP_CLEANUP_S, NEPP_SWEEP_S };
+
+/* Hands the first count (byte_lo, byte_hi) pairs of the trace buffer to
+ * the caller's touch hook; nonzero stops the run. */
+typedef int (*trace_flush)(int64_t count);
+
+typedef struct {
+    int64_t n, k, cap, m_rows;
+    const int64_t *out_start, *in_start;
+    int64_t *out_size, *in_size; /* clean-up shrinks them */
+    uint32_t *col;               /* clean-up compacts lists in place */
+    const uint8_t *high;
+    int64_t *assignment;         /* (m_rows, 3) rows (src, dst, pid) */
+    uint8_t *replicas;           /* (k, n) */
+    int64_t *sizes;              /* (k,) */
+    uint8_t *core, *in_s;        /* (n,); in_s marks the low vertices of S_i */
+    int64_t *d_ext;              /* (n,) external degree of each S_i vertex */
+    int64_t *heap, *pos;         /* (n,) min-heap of S_i \ C and each vertex's slot */
+    int64_t *s_list;             /* (n,) the vertices that joined S_i, in order */
+    int64_t heap_len, s_len, assigned;
+    int64_t *trace;              /* (trace_cap, 2) read buffer, or NULL */
+    int64_t trace_cap, trace_len;
+    trace_flush flush;
+    int64_t counters[NEPP_COUNTERS];
+    int status;
+} nepp_t;
+
+static double thread_cpu_s(void) {
+    struct timespec t;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
+
+/* A column read of the list [start, start + size): counted and, when a
+ * trace buffer is given, recorded as the byte range the CSR's touch
+ * hook would see. Empty lists are not reads. */
+static const uint32_t *read_list(nepp_t *s, int64_t start, int64_t size) {
+    if (size > 0) {
+        s->counters[NEPP_COL_READS]++;
+        s->counters[NEPP_COL_READ_BYTES] += size * (int64_t)sizeof(uint32_t);
+        if (s->trace) {
+            if (s->trace_len == s->trace_cap) {
+                if (s->flush(s->trace_len) != 0) {
+                    s->status = NEPP_FLUSH_FAILED;
+                    s->trace = NULL;
+                    return s->col + start;
+                }
+                s->trace_len = 0;
+            }
+            s->trace[2 * s->trace_len] = start * (int64_t)sizeof(uint32_t);
+            s->trace[2 * s->trace_len + 1] = (start + size) * (int64_t)sizeof(uint32_t);
+            s->trace_len++;
+        }
+    }
+    return s->col + start;
+}
+
+static int covered(const nepp_t *s, int64_t w) {
+    return s->core[w] || s->in_s[w] || s->high[w];
+}
+
+/* The heap orders S_i \ C by (d_ext, v). Keys are unique, so it pops
+ * the same vertex as a lazy heapq of (d_ext, v) pushes that discards
+ * stale entries. */
+static int heap_less(const nepp_t *s, int64_t a, int64_t b) {
+    return s->d_ext[a] < s->d_ext[b] || (s->d_ext[a] == s->d_ext[b] && a < b);
+}
+
+static void heap_up(nepp_t *s, int64_t i) {
+    const int64_t v = s->heap[i];
+    while (i > 0) {
+        const int64_t p = (i - 1) / 2;
+        if (!heap_less(s, v, s->heap[p])) break;
+        s->heap[i] = s->heap[p];
+        s->pos[s->heap[i]] = i;
+        i = p;
+    }
+    s->heap[i] = v;
+    s->pos[v] = i;
+}
+
+static int64_t heap_pop(nepp_t *s) {
+    const int64_t top = s->heap[0];
+    const int64_t v = s->heap[--s->heap_len];
+    int64_t i = 0;
+    if (s->heap_len == 0) return top;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= s->heap_len) break;
+        if (c + 1 < s->heap_len && heap_less(s, s->heap[c + 1], s->heap[c])) c++;
+        if (!heap_less(s, s->heap[c], v)) break;
+        s->heap[i] = s->heap[c];
+        s->pos[s->heap[i]] = i;
+        i = c;
+    }
+    s->heap[i] = v;
+    s->pos[v] = i;
+    return top;
+}
+
+/* Write the row (a, b) at *end, the cursor past the rows of the run
+ * being built; 0, or -1 if the assignment is full (the CSR holds more
+ * edges than the caller counted). */
+static int put_row(nepp_t *s, int64_t *end, int64_t a, int64_t b) {
+    if (*end >= s->m_rows) {
+        s->status = NEPP_ROWS_FULL;
+        return -1;
+    }
+    int64_t *row = s->assignment + 3 * *end;
+    row[0] = a;
+    row[1] = b;
+    (*end)++;
+    return 0;
+}
+
+/* Hand the rows [assigned, end) to partition i, spilling what does not
+ * fit under cap to the next partitions (Alg. 1 lines 26-28); the last
+ * partition takes the rest. Both endpoints of a row join its
+ * partition's covered set. */
+static void spill(nepp_t *s, int64_t i, int64_t end) {
+    int64_t j = i;
+    while (s->assigned < end) {
+        int64_t take = end - s->assigned;
+        if (j < s->k - 1 && s->cap - s->sizes[j] < take) take = s->cap - s->sizes[j];
+        if (take <= 0) {
+            j++;
+            continue;
+        }
+        uint8_t *rep = s->replicas + j * s->n;
+        for (int64_t r = s->assigned; r < s->assigned + take; r++) {
+            int64_t *row = s->assignment + 3 * r;
+            row[2] = j;
+            rep[row[0]] = 1;
+            rep[row[1]] = 1;
+        }
+        s->sizes[j] += take;
+        s->assigned += take;
+    }
+}
+
+/* MoveToSecondary (Alg. 1 lines 16-28): u joins S_i. Its edges to
+ * covered neighbours (high ones count as members of S_i) are assigned,
+ * its external degree is what is left, and each low S_i neighbour's
+ * external degree shrinks by one. */
+static void join(nepp_t *s, int64_t i, int64_t u) {
+    s->in_s[u] = 1;
+    s->replicas[i * s->n + u] = 1;
+    s->s_list[s->s_len++] = u;
+    const int64_t no = s->out_size[u], ni = s->in_size[u];
+    const uint32_t *out = read_list(s, s->out_start[u], no);
+    const uint32_t *in = read_list(s, s->in_start[u], ni);
+    int64_t end = s->assigned;
+    for (int64_t e = 0; e < no; e++)
+        if (covered(s, out[e]) && put_row(s, &end, u, out[e]) != 0) return;
+    for (int64_t e = 0; e < ni; e++)
+        if (covered(s, in[e]) && put_row(s, &end, in[e], u) != 0) return;
+    s->d_ext[u] = no + ni - (end - s->assigned);
+    spill(s, i, end);
+    s->heap[s->heap_len] = u;
+    heap_up(s, s->heap_len++);
+    for (int64_t e = 0; e < no + ni; e++) {
+        const int64_t w = e < no ? out[e] : in[e - no];
+        if (s->in_s[w] && !s->core[w]) {
+            s->d_ext[w]--;
+            heap_up(s, s->pos[w]);
+        }
+    }
+}
+
+/* Keep the entries of the list at start that point outside C ∪ S_i, in
+ * order (Alg. 2's swap-removal, order-preserving); returns the count
+ * removed. */
+static int64_t compact(nepp_t *s, int64_t start, int64_t *size) {
+    uint32_t *list = s->col + start;
+    int64_t kept = 0;
+    for (int64_t e = 0; e < *size; e++)
+        if (!covered(s, list[e])) list[kept++] = list[e];
+    const int64_t removed = *size - kept;
+    *size = kept;
+    return removed;
+}
+
+/* Build partition i by expansion (Alg. 1), then clean up (Alg. 2). */
+static void expand(nepp_t *s, int64_t i, int64_t *seed, double *phases) {
+    const double t0 = thread_cpu_s();
+    memset(s->in_s, 0, (size_t)s->n);
+    s->heap_len = 0;
+    s->s_len = 0;
+    while (s->sizes[i] < s->cap && s->assigned < s->m_rows && s->status == NEPP_OK) {
+        int64_t v;
+        if (s->heap_len > 0) {
+            v = heap_pop(s);
+        } else {
+            /* Initialization (§3.2.3): sequential seed search. */
+            while (*seed < s->n && (s->high[*seed] || s->core[*seed]
+                                    || s->out_size[*seed] + s->in_size[*seed] == 0)) {
+                (*seed)++;
+                s->counters[NEPP_SEED_PROBES]++;
+            }
+            if (*seed >= s->n) break; /* no suitable vertex anywhere: all edges done */
+            v = *seed;
+            s->counters[NEPP_SEED_PROBES]++;
+        }
+        /* MoveToCore (Alg. 1 lines 12-15). A seed (never in S_i) has its
+         * edges to a-priori-secondary high neighbours assigned here. */
+        const int64_t no = s->out_size[v], ni = s->in_size[v];
+        const uint32_t *out = read_list(s, s->out_start[v], no);
+        const uint32_t *in = read_list(s, s->in_start[v], ni);
+        if (!s->in_s[v]) {
+            int64_t end = s->assigned;
+            for (int64_t e = 0; e < no; e++)
+                if (s->high[out[e]] && put_row(s, &end, v, out[e]) != 0) return;
+            for (int64_t e = 0; e < ni; e++)
+                if (s->high[in[e]] && put_row(s, &end, in[e], v) != 0) return;
+            spill(s, i, end);
+        }
+        s->core[v] = 1;
+        s->replicas[i * s->n + v] = 1;
+        for (int64_t e = 0; e < no + ni && s->status == NEPP_OK; e++) {
+            const int64_t w = e < no ? out[e] : in[e - no];
+            if (!covered(s, w)) join(s, i, w);
+        }
+    }
+    const double t1 = thread_cpu_s();
+    /* Clean-up (Alg. 2): only vertices still in S_i can be rescanned. */
+    for (int64_t e = 0; e < s->s_len && s->status == NEPP_OK; e++) {
+        const int64_t u = s->s_list[e];
+        if (s->core[u]) continue;
+        read_list(s, s->out_start[u], s->out_size[u]);
+        read_list(s, s->in_start[u], s->in_size[u]);
+        s->counters[NEPP_CLEANED] += compact(s, s->out_start[u], &s->out_size[u]);
+        s->counters[NEPP_CLEANED] += compact(s, s->in_start[u], &s->in_size[u]);
+    }
+    phases[NEPP_EXPANSION_S] += t1 - t0;
+    phases[NEPP_CLEANUP_S] += thread_cpu_s() - t1;
+}
+
+/* NE++ over a pruned CSR of n vertices into k partitions of at most cap
+ * edges each (Alg. 1-3), writing at most m_rows assignment rows. The
+ * CSR arrays are the caller's, checked so that every list lies inside
+ * col and every id is < n; clean-up compacts col and shrinks the sizes.
+ * assignment, replicas (k, n) and sizes (k,) receive the result; core,
+ * in_s, d_ext, heap, heap_pos and s_list are (n,) working arrays, core
+ * zeroed. When trace is not NULL, every column read is recorded in it
+ * as a (byte_lo, byte_hi) pair and flush is called whenever it holds
+ * trace_cap pairs, and once at the end. counters receives the rows
+ * assigned, the entries clean-up removed, the column reads, their bytes
+ * and the seed-cursor probes; phases receives the thread-CPU seconds of
+ * expansion, clean-up and the last sweep. Returns NEPP_OK or an error
+ * status. */
+int nepp(int64_t n, const int64_t *out_start, int64_t *out_size, const int64_t *in_start,
+         int64_t *in_size, uint32_t *col, const uint8_t *high, int64_t k, int64_t cap,
+         int64_t m_rows, int64_t *assignment, uint8_t *replicas, int64_t *sizes,
+         uint8_t *core, uint8_t *in_s, int64_t *d_ext, int64_t *heap, int64_t *heap_pos,
+         int64_t *s_list, int64_t *trace, int64_t trace_cap, trace_flush flush,
+         int64_t *counters, double *phases) {
+    nepp_t s = {
+        .n = n, .k = k, .cap = cap, .m_rows = m_rows,
+        .out_start = out_start, .in_start = in_start, .out_size = out_size, .in_size = in_size,
+        .col = col, .high = high, .assignment = assignment, .replicas = replicas,
+        .sizes = sizes, .core = core, .in_s = in_s, .d_ext = d_ext, .heap = heap,
+        .pos = heap_pos, .s_list = s_list, .trace = trace_cap > 0 ? trace : NULL,
+        .trace_cap = trace_cap, .flush = flush, .status = NEPP_OK,
+    };
+    int64_t seed = 0;
+    for (int64_t i = 0; i < k - 1 && s.assigned < m_rows && s.status == NEPP_OK; i++)
+        expand(&s, i, &seed, phases);
+    /* Last partition (Alg. 3): sweep low non-core vertices that still
+     * hold column entries; out-lists fully, in-lists only for high
+     * sources, so a low-low edge is assigned from its src side once. */
+    const double t0 = thread_cpu_s();
+    for (int64_t v = 0; v < n && s.status == NEPP_OK; v++) {
+        const int64_t no = out_size[v], ni = in_size[v];
+        if (high[v] || core[v] || no + ni == 0) continue;
+        const uint32_t *out = read_list(&s, out_start[v], no);
+        const uint32_t *in = read_list(&s, in_start[v], ni);
+        int64_t end = s.assigned;
+        for (int64_t e = 0; e < no; e++)
+            if (put_row(&s, &end, v, out[e]) != 0) break;
+        for (int64_t e = 0; e < ni && s.status == NEPP_OK; e++)
+            if (high[in[e]] && put_row(&s, &end, in[e], v) != 0) break;
+        if (s.status == NEPP_OK) spill(&s, k - 1, end);
+    }
+    phases[NEPP_SWEEP_S] += thread_cpu_s() - t0;
+    if (s.trace && s.trace_len > 0 && flush(s.trace_len) != 0) s.status = NEPP_FLUSH_FAILED;
+    s.counters[NEPP_ASSIGNED] = s.assigned;
+    memcpy(counters, s.counters, sizeof s.counters);
+    return s.status;
 }

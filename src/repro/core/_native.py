@@ -3,7 +3,9 @@
 The shared object is compiled with gcc into this package's
 ``__pycache__``, under a name that carries the SHA-256 of the source and
 the compiler flags, so it is built once per source version and reused
-by every later import. Each build writes to a per-process temporary name
+by every later import. ``LIB`` is the kernels loaded once, when this
+module is first imported, so no timed call pays the build or the
+``dlopen``. Each build writes to a per-process temporary name
 and is moved into place with ``os.replace``, so processes that build at
 the same moment never load a half-written file. A failed build raises
 with gcc's stderr; there is no fallback.
@@ -18,6 +20,8 @@ from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+# nepp's trace callback: hands over the first ``count`` buffered reads
+TRACE_FLUSH = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64)
 
 
 def build() -> Path:
@@ -46,4 +50,14 @@ def load() -> ctypes.CDLL:
     lib.stream_edges.argtypes = [ptr, i64, ptr, ptr, i64, i64, ptr, i64, ctypes.c_int, f64, f64,
                                  ptr]
     lib.stream_edges.restype = ctypes.c_int
+    lib.csr_count.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
+    lib.csr_count.restype = i64
+    lib.csr_fill.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64]
+    lib.csr_fill.restype = ctypes.c_int
+    lib.nepp.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
+                         ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, TRACE_FLUSH, ptr, ptr]
+    lib.nepp.restype = ctypes.c_int
     return lib
+
+
+LIB = load()

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graphs.generators import EdgeList
+from ..graphs.generators import EdgeList, pair_keys
 
 
 @dataclass
@@ -77,12 +77,6 @@ def assignment_array(src, dst, pid) -> np.ndarray:
     return assignment
 
 
-def _pair_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lo = np.minimum(a, b).astype(np.uint64)
-    hi = np.maximum(a, b).astype(np.uint64)
-    return (lo << np.uint64(32)) | hi
-
-
 def check_valid(el: EdgeList, res: PartitionResult, *, alpha: float | None = None) -> None:
     """Assert ``res`` is a *valid* edge partitioning of ``el``.
 
@@ -93,8 +87,8 @@ def check_valid(el: EdgeList, res: PartitionResult, *, alpha: float | None = Non
     a = res.assignment
     assert a.shape == (el.m, 3), f"assigned {a.shape[0]} of {el.m} edges"
     assert a[:, 2].min() >= 0 and a[:, 2].max() < res.k, "pid out of range"
-    want = np.sort(_pair_key(el.edges[:, 0], el.edges[:, 1]))
-    got = np.sort(_pair_key(a[:, 0], a[:, 1]))
+    want = np.sort(pair_keys(el.edges[:, 0], el.edges[:, 1]))
+    got = np.sort(pair_keys(a[:, 0], a[:, 1]))
     assert np.array_equal(want, got), "assigned edge set differs from input edge set"
     if alpha is not None:
         cap = alpha * el.m / res.k

@@ -25,6 +25,13 @@ Differences from the NE baseline (:mod:`repro.core.ne`), per the paper:
   endpoints. So each of the first k−1 partitions closes at exactly the
   cap, or once every in-memory edge is assigned, and the last one gets
   at most m_inmem − (k−1)·cap ≤ cap: every partition stays within it.
+
+The loop runs in C (``nepp`` in ``_kernels.c``), as the paper's
+single-threaded C++ NE++ does (Appendix A): :func:`partition_nepp`
+checks the pruned CSR, allocates every output and working array in
+numpy and calls it. :func:`partition_nepp_py` is the same algorithm
+as a Python loop, the reference the C loop must match bit for bit:
+assignment, replica sets, clean-up and column-read trace.
 """
 from __future__ import annotations
 
@@ -34,7 +41,10 @@ import numpy as np
 
 from ..graphs.csr import CSR
 from ..graphs.generators import EdgeList
+from . import _native
 from .common import PartitionResult, check_k
+
+TRACE_PAIRS = 4096  # column reads buffered between calls of a touch hook
 
 
 def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
@@ -46,7 +56,123 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
     pruned CSR of ``el`` (:func:`~repro.graphs.csr.build_pruned_csr`),
     whose ``high`` mask carries the τ classification; it may carry a
     paging ``touch`` hook, and it is consumed (mutated by clean-up).
+
+    Besides the counts :func:`partition_nepp_py` reports (clean-up,
+    seed probes, ...), ``stats`` holds ``col_reads`` and
+    ``col_read_bytes``, the reads and bytes a ``touch`` hook sees, and
+    ``phases``, the thread-CPU seconds of expansion, clean-up and the
+    last sweep (a ``touch`` hook's own time included).
     """
+    check_k(k)
+    m_inmem = el.m - len(csr.h2h)
+    _check_csr(csr, m_inmem)
+    n = csr.n
+    cap = max(1, -(-m_inmem // k))  # ⌈|E \ E_h2h| / k⌉
+    initial_entries = csr.col_entries  # before clean-up shrinks lists
+    assignment = np.empty((m_inmem, 3), dtype=np.int64)
+    replicas = np.zeros((k, n), dtype=bool)
+    sizes = np.zeros(k, dtype=np.int64)
+    core = np.zeros(n, dtype=bool)
+    in_s = np.empty(n, dtype=bool)  # cleared at the start of each partition
+    d_ext, heap, heap_pos, s_list = np.empty((4, n), dtype=np.int64)
+    counters = np.zeros(5, dtype=np.int64)
+    phases = np.zeros(3)
+    trace, flush, failures = _trace_buffer(csr.touch)
+    status = _native.LIB.nepp(
+        n, csr.out_start.ctypes.data, csr.out_size.ctypes.data, csr.in_start.ctypes.data,
+        csr.in_size.ctypes.data, csr.col.ctypes.data, csr.high.ctypes.data, k, cap, m_inmem,
+        assignment.ctypes.data, replicas.ctypes.data, sizes.ctypes.data, core.ctypes.data,
+        in_s.ctypes.data, d_ext.ctypes.data, heap.ctypes.data, heap_pos.ctypes.data,
+        s_list.ctypes.data, None if trace is None else trace.ctypes.data,
+        0 if trace is None else len(trace), flush, counters.ctypes.data, phases.ctypes.data,
+    )
+    if failures:
+        raise failures[0]
+    if status != 0:
+        raise ValueError(f"partition_nepp: csr holds more in-memory edges than "
+                         f"el.m - len(csr.h2h) = {m_inmem}")
+    assigned, cleaned, reads, read_bytes, probes = counters.tolist()
+    expansion_s, cleanup_s, sweep_s = phases.tolist()
+    return PartitionResult(
+        assignment=assignment[:assigned],
+        k=k,
+        n=n,
+        replicas=replicas,
+        stats={
+            "m_inmem": m_inmem,
+            "cap": cap,
+            "cleaned_entries": cleaned,
+            "initial_col_entries": initial_entries,
+            "high_count": int(csr.high.sum()),
+            "col_reads": reads,
+            "col_read_bytes": read_bytes,
+            "seed_probes": probes,
+            "phases": {"expansion_s": expansion_s, "cleanup_s": cleanup_s,
+                       "sweep_s": sweep_s},
+        },
+    )
+
+
+def _check_csr(csr: CSR, m_inmem: int) -> None:
+    """Refuse a CSR the C loop could not read safely: every array of
+    the right dtype, length and layout (the ones it writes writeable),
+    every list inside ``col``, every id < n."""
+    def require(ok, what: str) -> None:
+        if not ok:
+            raise ValueError(f"partition_nepp: {what}")
+
+    def array(a, dtype, length: int, writeable: bool) -> bool:
+        return (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == (length,)
+                and a.flags.c_contiguous and (a.flags.writeable or not writeable))
+
+    n = csr.n
+    require(isinstance(n, (int, np.integer)) and n >= 0, f"csr.n must be an integer >= 0, "
+            f"got {n!r}")
+    for name, writeable in (("out_start", False), ("out_size", True), ("in_start", False),
+                            ("in_size", True)):
+        require(array(getattr(csr, name), np.int64, n, writeable),
+                f"csr.{name} must be a {'writeable ' * writeable}C-contiguous int64 array "
+                f"of length n={n}")
+    require(array(csr.high, np.bool_, n, False),
+            f"csr.high must be a C-contiguous bool array of length n={n}")
+    col = csr.col
+    require(isinstance(col, np.ndarray) and col.ndim == 1
+            and array(col, np.uint32, len(col), True),
+            "csr.col must be a writeable C-contiguous 1-D uint32 array")
+    require(m_inmem >= 0, "csr.h2h holds more edges than el.m")
+    for side in ("out", "in"):
+        start, size = getattr(csr, f"{side}_start"), getattr(csr, f"{side}_size")
+        require(((start >= 0) & (size >= 0) & (size <= len(col) - start)).all(),
+                f"csr.{side}_start + csr.{side}_size must lie within len(csr.col)={len(col)}")
+    require(len(col) == 0 or int(col.max()) < n, f"csr.col ids must be < n={n}")
+
+
+def _trace_buffer(touch):
+    """The read buffer, flush callback and failure list through which
+    the C loop hands its column reads to ``touch``, in order; without a
+    hook, no buffer and a null callback."""
+    if touch is None:
+        return None, _native.TRACE_FLUSH(), []
+    buf = np.empty((TRACE_PAIRS, 2), dtype=np.int64)
+    failures: list[BaseException] = []
+
+    def flush(count: int) -> int:
+        try:
+            for lo, hi in buf[:count].tolist():
+                touch(lo, hi)
+        except BaseException as e:  # re-raised once the C loop has returned
+            failures.append(e)
+            return 1
+        return 0
+
+    return buf, _native.TRACE_FLUSH(flush), failures
+
+
+def partition_nepp_py(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
+    """:func:`partition_nepp` as a Python loop over numpy arrays: the
+    reference for the C loop. It reads the CSR through its accessors,
+    so a ``touch`` hook sees each read as it happens; ``stats`` lacks
+    the C loop's read counts and phase times."""
     check_k(k)
     n = csr.n
     high = csr.high
@@ -63,6 +189,7 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
     assigned_total = 0  # also the write cursor into ``assignment``
     cleaned_entries = 0
     seed_ptr = 0
+    seed_probes = 0  # cursor positions skipped or taken
 
     def assign(v: int, w_out: np.ndarray, w_in: np.ndarray, i: int) -> None:
         """Assign the edges between vertex ``v`` and its covered
@@ -141,9 +268,11 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
                     high[seed_ptr] or core[seed_ptr] or csr.degree(seed_ptr) == 0
                 ):
                     seed_ptr += 1
+                    seed_probes += 1
                 if seed_ptr >= n:
                     break  # no suitable vertex anywhere: all edges done
                 v = seed_ptr
+                seed_probes += 1
             # MoveToCore (Alg. 1 lines 12-15). A seed (never in S_i) has
             # its edges to a-priori-secondary high-degree neighbors
             # assigned here, since no join ever scans the high side.
@@ -188,5 +317,6 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
             "cleaned_entries": cleaned_entries,
             "initial_col_entries": initial_entries,
             "high_count": int(high.sum()),
+            "seed_probes": seed_probes,
         },
     )

@@ -28,7 +28,6 @@ _EPS = 1.0  # ε in HDRF's balance term
 _LAMBDA = 1.1  # λ, HDRF's balance weight (Appendix A)
 ALPHA = 1.05  # α, the balance bound |p_i| ≤ α·|E|/k (Appendix A)
 
-_LIB = _native.load()  # at import, so no timed call pays the build or dlopen
 _NATIVE_METHODS = {"hdrf": 0, "greedy": 1}
 
 
@@ -61,9 +60,10 @@ def stream_edges(
     _check_room(sizes, len(edges), cap)
     k, n = replicas.shape
     pids = np.empty(len(edges), dtype=np.int64)
-    status = _LIB.stream_edges(edges.ctypes.data, len(edges), replicas.ctypes.data,
-                               sizes.ctypes.data, k, n, degrees.ctypes.data, int(cap),
-                               _NATIVE_METHODS[method], _LAMBDA, _EPS, pids.ctypes.data)
+    status = _native.LIB.stream_edges(
+        edges.ctypes.data, len(edges), replicas.ctypes.data, sizes.ctypes.data, k, n,
+        degrees.ctypes.data, int(cap), _NATIVE_METHODS[method], _LAMBDA, _EPS, pids.ctypes.data,
+    )
     if status != 0:
         raise RuntimeError("native streaming found every partition closed")
     return pids

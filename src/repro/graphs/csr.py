@@ -7,7 +7,8 @@ left-hand ``src`` in the input edge list) followed by the *in-list*
 per-list *size fields* track the number of valid entries so that lazy
 edge removal can swap-delete an entry in O(1) (Alg. 2).
 
-Two build modes, both filled by one list builder:
+Two build modes, both filled by one list builder (a counting sort in
+C, with a numpy reference):
 
 * :func:`build_csr` — full graph, plus a parallel edge-id array that
   the NE *baseline*'s eager edge-validity bookkeeping keys on (the
@@ -95,33 +96,62 @@ class CSR:
         return int(self.out_size.sum() + self.in_size.sum())
 
 
-def _fill_lists(
-    n: int,
-    out_lists: tuple[np.ndarray, np.ndarray],
-    in_lists: tuple[np.ndarray, np.ndarray],
-    *,
-    high: np.ndarray,
-    h2h: np.ndarray,
-    eid: np.ndarray | None = None,
-) -> CSR:
-    """Build a CSR from (key, value) arrays for the out- and in-lists.
+def _fill_lists(el: EdgeList, *, high: np.ndarray, eid: bool) -> CSR:
+    """Build the CSR of ``el`` whose lists omit high-degree owners.
 
-    Each list entry ``value`` is stored in ``key``'s list, in input
-    order; the out- and in-segments of a vertex are adjacent in
-    ``col``. ``eid`` (full CSR only) gives the edge id of each entry of
-    both lists, which then come from the same edge order.
+    Edge (u, v) is stored in u's out-list unless u is high and in v's
+    in-list unless v is high; an edge stored in neither is an ``h2h``
+    edge. Each list holds its entries in edge order, and a vertex's
+    out-list is followed by its in-list in ``col``. With ``eid``, the
+    edge id of every entry goes to ``col_eid``. The lists are counted
+    and filled by the C counting sort in ``core/_kernels.c``;
+    :func:`_fill_lists_np` is the same build in numpy, its reference.
     """
-    out_size = np.bincount(out_lists[0], minlength=n)
-    in_size = np.bincount(in_lists[0], minlength=n)
+    from ..core._native import LIB  # repro.core imports this module: not at the top
+
+    n = el.n
+    edges = np.ascontiguousarray(el.edges, dtype=np.uint32)
+    high = np.ascontiguousarray(high, dtype=bool)
+    out_size = np.zeros(n, dtype=np.int64)
+    in_size = np.zeros(n, dtype=np.int64)
+    total = LIB.csr_count(edges.ctypes.data, len(edges), n, high.ctypes.data,
+                          out_size.ctypes.data, in_size.ctypes.data)
+    if total < 0:
+        raise ValueError(f"edge ids must be < n={n}")
+    out_start = np.empty(n, dtype=np.int64)
+    in_start = np.empty(n, dtype=np.int64)
+    col = np.empty(total, dtype=np.uint32)
+    col_eid = np.empty(total, dtype=np.int64) if eid else None
+    status = LIB.csr_fill(edges.ctypes.data, len(edges), n, high.ctypes.data,
+                          out_start.ctypes.data, out_size.ctypes.data, in_start.ctypes.data,
+                          in_size.ctypes.data, col.ctypes.data,
+                          col_eid.ctypes.data if eid else None, total)
+    if status != 0:
+        raise ValueError("the edge list does not match its list counts")
+    return CSR(n=n, out_start=out_start, out_size=out_size, in_start=in_start,
+               in_size=in_size, col=col, high=high, h2h=_h2h(el, high), col_eid=col_eid)
+
+
+def _fill_lists_np(el: EdgeList, *, high: np.ndarray, eid: bool) -> CSR:
+    """:func:`_fill_lists` with numpy: a stable argsort places each list
+    entry, giving byte-identical arrays."""
+    n = el.n
+    src, dst = el.edges[:, 0], el.edges[:, 1]
+    out_keep = ~high[src]
+    in_keep = ~high[dst]
+    edge_id = np.arange(el.m, dtype=np.int64)
+    out_size = np.bincount(src[out_keep], minlength=n)
+    in_size = np.bincount(dst[in_keep], minlength=n)
     total = out_size + in_size
     out_start = np.concatenate([[0], np.cumsum(total)])[:-1]
     in_start = out_start + out_size
     col = np.zeros(int(total.sum()), dtype=np.uint32)
-    col_eid = np.zeros(len(col), dtype=np.int64) if eid is not None else None
-    for start, size, (key, value) in (
-        (out_start, out_size, out_lists),
-        (in_start, in_size, in_lists),
+    col_eid = np.zeros(len(col), dtype=np.int64) if eid else None
+    for start, size, keep, key, value in (
+        (out_start, out_size, out_keep, src, dst),
+        (in_start, in_size, in_keep, dst, src),
     ):
+        key, value, ids = key[keep], value[keep], edge_id[keep]
         # the i-th entry in key order goes to start[key] + i - first[key],
         # where first[key] is the number of this list's entries with a
         # smaller key
@@ -130,31 +160,19 @@ def _fill_lists(
         pos += (start - (np.cumsum(size) - size))[key[o]]
         col[pos] = value[o]
         if col_eid is not None:
-            col_eid[pos] = eid[o]
-    return CSR(
-        n=n,
-        out_start=out_start,
-        out_size=out_size,
-        in_start=in_start,
-        in_size=in_size,
-        col=col,
-        high=high,
-        h2h=h2h,
-        col_eid=col_eid,
-    )
+            col_eid[pos] = ids[o]
+    return CSR(n=n, out_start=out_start, out_size=out_size, in_start=in_start,
+               in_size=in_size, col=col, high=high, h2h=_h2h(el, high), col_eid=col_eid)
+
+
+def _h2h(el: EdgeList, high: np.ndarray) -> np.ndarray:
+    """The edges between two high-degree vertices, in input order."""
+    return el.edges[high[el.edges[:, 0]] & high[el.edges[:, 1]]]
 
 
 def build_csr(el: EdgeList) -> CSR:
     """Full CSR over all edges (the NE baseline's representation)."""
-    src, dst = el.edges[:, 0], el.edges[:, 1]
-    return _fill_lists(
-        el.n,
-        (src, dst),
-        (dst, src),
-        high=np.zeros(el.n, dtype=bool),
-        h2h=np.empty((0, 2), dtype=np.uint32),
-        eid=np.arange(el.m, dtype=np.int64),
-    )
+    return _fill_lists(el, high=np.zeros(el.n, dtype=bool), eid=True)
 
 
 def build_pruned_csr(el: EdgeList, *, tau: float) -> CSR:
@@ -164,16 +182,4 @@ def build_pruned_csr(el: EdgeList, *, tau: float) -> CSR:
     array (the paper's external-memory edge file); an edge with exactly
     one high endpoint survives only in the low endpoint's list.
     """
-    high = high_mask_np(el.degrees(), tau)
-    src, dst = el.edges[:, 0], el.edges[:, 1]
-    # a list entry is kept iff its owner is low-degree; an edge kept on
-    # neither side is an h2h edge
-    out_keep = ~high[src]
-    in_keep = ~high[dst]
-    return _fill_lists(
-        el.n,
-        (src[out_keep], dst[out_keep]),
-        (dst[in_keep], src[in_keep]),
-        high=high,
-        h2h=el.edges[~(out_keep | in_keep)],
-    )
+    return _fill_lists(el, high=high_mask_np(el.degrees(), tau), eid=False)

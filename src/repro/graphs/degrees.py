@@ -34,9 +34,18 @@ def degrees_df(edges: DataFrame) -> DataFrame:
     return ends.groupBy("v").agg(F.count("*").alias("degree"))
 
 
+def check_tau(tau: float) -> None:
+    """Raise ``ValueError`` unless τ is finite and ≥ 0; both forms of
+    the τ rule call this first. τ = 0 makes every vertex with an edge
+    high (HEP then streams everything, as the HDRF baseline does)."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+
+
 def high_vertices(degrees: DataFrame, tau: float) -> DataFrame:
     """Vertices with d(v) > τ·∅_d: DataFrame(v). The threshold is a
     one-row aggregate cross-joined into the same plan, one Spark job."""
+    check_tau(tau)
     thresh = degrees.agg((F.lit(tau) * F.avg("degree")).alias("thresh"))
     return degrees.crossJoin(thresh).where(F.col("degree") > F.col("thresh")).select("v")
 
@@ -65,10 +74,8 @@ def high_mask_np(deg: np.ndarray, tau: float) -> np.ndarray:
     :func:`high_vertices` (compact analog graphs have no isolated
     vertices, but subgraphs passed through here may). Exact integer
     sums make it ``deg[deg > 0].mean()`` bit for bit, without the copy.
-    τ must be finite and ≥ 0; τ = 0 makes every vertex with an edge
-    high (HEP then streams everything, as the HDRF baseline does).
+    τ is checked by :func:`check_tau`.
     """
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+    check_tau(tau)
     mean = deg.sum() / max(np.count_nonzero(deg), 1)
     return deg > tau * mean

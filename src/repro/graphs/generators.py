@@ -41,6 +41,33 @@ class EdgeList:
     edges: np.ndarray  # (m, 2) uint32
     n: int  # number of vertices (compact ids 0..n-1)
 
+    def __post_init__(self):
+        """Refuse what the partitioners cannot take: ``edges`` not an
+        (m, 2) uint32 array, an id ≥ n, a self-loop or a repeated
+        unordered pair. The last needs a sort of the m pair keys."""
+        e, n = self.edges, self.n
+        if not (isinstance(e, np.ndarray) and e.dtype == np.uint32 and e.ndim == 2
+                and e.shape[1] == 2):
+            raise ValueError(f"EdgeList.edges must be an (m, 2) uint32 array, got "
+                             f"{getattr(e, 'dtype', type(e).__name__)} {np.shape(e)}")
+        if not (isinstance(n, (int, np.integer)) and n >= 0):
+            raise ValueError(f"EdgeList.n must be an integer >= 0, got {n!r}")
+        if not len(e):
+            return
+        src, dst = e[:, 0], e[:, 1]
+        top = int(e.max())
+        if top >= n:
+            raise ValueError(f"EdgeList has vertex id {top} >= n={n}")
+        loops = np.flatnonzero(src == dst)
+        if len(loops):
+            raise ValueError(f"EdgeList has a self-loop at vertex {int(src[loops[0]])}")
+        key = pair_keys(src, dst)
+        key.sort()
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if len(dup):
+            k = int(key[dup[0]])
+            raise ValueError(f"EdgeList repeats the unordered pair ({k >> 32}, {k & 0xFFFFFFFF})")
+
     @property
     def m(self) -> int:
         """Number of undirected edges."""
@@ -59,13 +86,20 @@ class EdgeList:
         )
 
 
+def pair_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The uint64 key ``min << 32 | max`` of each unordered pair {src,
+    dst} of ids < 2³², built in place (one 8-byte array per pair)."""
+    key = np.minimum(src, dst).astype(np.uint64)
+    key <<= np.uint64(32)
+    np.bitwise_or(key, np.maximum(src, dst), out=key, dtype=np.uint64, casting="unsafe")
+    return key
+
+
 def _dedup_compact(src: np.ndarray, dst: np.ndarray) -> EdgeList:
     """Drop self-loops, dedup unordered pairs (keep first direction), relabel."""
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    lo = np.minimum(src, dst).astype(np.uint64)
-    hi = np.maximum(src, dst).astype(np.uint64)
-    key = (lo << np.uint64(32)) | hi
+    key = pair_keys(src, dst)
     # keep the first occurrence of each unordered pair, preserving input
     # order (return_index sorts stably, so it gives first occurrences)
     keep_idx = np.sort(np.unique(key, return_index=True)[1])

@@ -125,3 +125,12 @@ def test_high_mask_threshold_strict(spark):
     assert footprint_sweep(edges, taus=[1.0], k=4) == [
         (1.0, 4 * len(csr.col) + hep_fixed_bytes(5, k=4))
     ]
+
+
+@pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])
+def test_high_vertices_rejects_bad_tau(spark, tau):
+    """The Spark τ rule refuses what the numpy rule refuses, before any
+    job runs: τ = −1 would make every vertex high, NaN none."""
+    degrees = degrees_df(to_spark(spark, tiny_graph("OK")))
+    with pytest.raises(ValueError, match="^tau must"):
+        high_vertices(degrees, tau)

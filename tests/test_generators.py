@@ -4,6 +4,7 @@ import pytest
 
 from repro.graphs.generators import (
     GRAPH_NAMES,
+    EdgeList,
     dense_communities,
     graph,
     graph_type,
@@ -119,3 +120,20 @@ def test_to_pandas_roundtrip():
 def test_unknown_graph_raises():
     with pytest.raises(KeyError):
         graph("NOPE")
+
+
+@pytest.mark.parametrize("edges, n, fault", [
+    (np.array([[0, 1]], dtype=np.int64), 2, "uint32"),
+    (np.array([0, 1], dtype=np.uint32), 2, "uint32"),
+    (np.array([[0, 1, 2]], dtype=np.uint32), 3, "uint32"),
+    (np.array([[0, 1], [1, 2]], dtype=np.uint32), 2, "vertex id 2 >= n=2"),
+    (np.array([[0, 1], [2, 2]], dtype=np.uint32), 3, "self-loop at vertex 2"),
+    (np.array([[0, 1], [1, 2], [0, 1]], dtype=np.uint32), 3, r"repeats the unordered pair \(0, 1\)"),
+    (np.array([[2, 1], [0, 1], [1, 2]], dtype=np.uint32), 3, r"repeats the unordered pair \(1, 2\)"),
+])
+def test_malformed_edge_list_rejected(edges, n, fault):
+    """An EdgeList is checked when it is made: a wrong dtype or shape,
+    an id ≥ n, a self-loop or a repeated unordered pair (in either
+    direction) is refused, with the fault named."""
+    with pytest.raises(ValueError, match=fault):
+        EdgeList(edges=edges, n=n)

@@ -1,4 +1,6 @@
-"""Build cache of the native kernels (``core/_native.py``)."""
+"""Build cache and warning hygiene of the native kernels (``core/_native.py``)."""
+import subprocess
+
 import pytest
 
 from repro.core import _native
@@ -28,3 +30,14 @@ def test_failed_build_raises_with_compiler_output(tmp_path, monkeypatch):
     with pytest.raises(ImportError, match="undeclared_name"):
         _native.load()
     assert not list((tmp_path / "__pycache__").iterdir())
+
+
+def test_kernels_compile_without_warnings():
+    """The kernels are warning-free under -Wall -Wextra (sign compares,
+    uninitialised reads, unused values); syntax check only, nothing is
+    built or run."""
+    proc = subprocess.run(
+        ["gcc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_native.SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

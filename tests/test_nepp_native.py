@@ -1,0 +1,177 @@
+"""The C NE++ loop and the C CSR fill against their Python references:
+NE++ (``partition_nepp`` vs ``partition_nepp_py``) must agree on the
+assignment, replica sets, loads, clean-up and column-read trace; the
+counting-sort fill must give the numpy fill's arrays byte for byte."""
+from array import array
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.nepp import partition_nepp, partition_nepp_py
+from repro.graphs import csr as csr_mod
+from repro.graphs.csr import build_csr, build_pruned_csr
+from repro.graphs.degrees import high_mask_np
+from repro.graphs.generators import EdgeList
+
+from .conftest import TEST_GRAPHS, path_graph, tiny_graph, two_triangles
+from .test_csr import random_edgelist
+
+CSR_ARRAYS = ("out_start", "out_size", "in_start", "in_size", "col", "high", "h2h", "col_eid")
+
+
+def run_traced(fn, el, k, tau):
+    """NE++ by ``fn`` on a fresh pruned CSR with a recording touch hook:
+    (result, consumed CSR, flattened (lo, hi) trace)."""
+    csr = build_pruned_csr(el, tau=tau)
+    trace = array("q")
+    csr.touch = lambda lo, hi: trace.extend((lo, hi))
+    return fn(el, k=k, csr=csr), csr, trace
+
+
+def assert_native_matches_python(el, k, tau):
+    native, native_csr, native_trace = run_traced(partition_nepp, el, k, tau)
+    ref, ref_csr, ref_trace = run_traced(partition_nepp_py, el, k, tau)
+    a, b = native.assignment, ref.assignment
+    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    assert np.array_equal(native.replicas, ref.replicas)
+    assert np.array_equal(native.sizes, ref.sizes)
+    for key, value in ref.stats.items():  # cleaned_entries, seed_probes, cap, ...
+        assert native.stats[key] == value, key
+    for name in ("col", "out_size", "in_size"):
+        assert np.array_equal(getattr(native_csr, name), getattr(ref_csr, name)), name
+    assert native_trace == ref_trace
+    # the C loop's own read counts are what the hook saw, with or without a hook
+    assert native.stats["col_reads"] == len(native_trace) // 2
+    assert native.stats["col_read_bytes"] == sum(native_trace[1::2]) - sum(native_trace[0::2])
+    untraced = partition_nepp(el, k=k, csr=build_pruned_csr(el, tau=tau))
+    assert np.array_equal(untraced.assignment, a)
+    for key in ("col_reads", "col_read_bytes", "cleaned_entries", "seed_probes"):
+        assert untraced.stats[key] == native.stats[key], key
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_native_nepp_matches_python(data):
+    el = random_edgelist(data.draw)
+    k = data.draw(st.integers(min_value=1, max_value=8), label="k")
+    tau = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 100.0]), label="tau")
+    assert_native_matches_python(el, k, tau)
+
+
+@pytest.mark.parametrize("el, k, tau", [
+    pytest.param(path_graph(4), 8, 100.0, id="k>m"),
+    pytest.param(two_triangles(), 1, 100.0, id="k=1"),
+    pytest.param(tiny_graph("OK"), 8, 0.0, id="tau=0"),
+    # a 5-cycle: every degree equals the mean, so τ = 0.5 makes every vertex high
+    pytest.param(EdgeList(edges=np.array([[i, (i + 1) % 5] for i in range(5)],
+                                         dtype=np.uint32), n=5), 4, 0.5, id="all-high"),
+])
+def test_native_nepp_matches_python_edge_cases(el, k, tau):
+    assert_native_matches_python(el, k, tau)
+
+
+@pytest.mark.parametrize("name", TEST_GRAPHS)
+@pytest.mark.parametrize("k, tau", [(8, 100.0), (33, 1.0)])
+def test_native_nepp_matches_python_on_corpus(name, k, tau):
+    assert_native_matches_python(tiny_graph(name), k, tau)
+
+
+def test_nepp_stats_report_work_and_phases():
+    el = tiny_graph("IT")
+    res = partition_nepp(el, k=8, csr=build_pruned_csr(el, tau=10.0))
+    s = res.stats
+    assert s["col_reads"] > 0 and s["col_read_bytes"] >= 4 * s["col_reads"]
+    assert 0 < s["seed_probes"] <= 2 * el.n
+    assert set(s["phases"]) == {"expansion_s", "cleanup_s", "sweep_s"}
+    assert all(t >= 0.0 for t in s["phases"].values())
+
+
+def test_touch_hook_failure_propagates():
+    """An exception in the touch hook ends the run and reaches the caller."""
+    el = tiny_graph("OK")
+    csr = build_pruned_csr(el, tau=100.0)
+
+    def touch(lo, hi):
+        raise RuntimeError("page fault handler failed")
+
+    csr.touch = touch
+    with pytest.raises(RuntimeError, match="page fault handler failed"):
+        partition_nepp(el, k=4, csr=csr)
+
+
+def _bad_csr(fault):
+    el = tiny_graph("OK")
+    csr = build_pruned_csr(el, tau=100.0)
+    n, ncol = csr.n, len(csr.col)
+    v = int(np.flatnonzero(csr.out_size)[0])
+    if fault == "col id >= n":
+        csr.col[ncol // 2] = n
+    elif fault == "out list past col":
+        csr.out_size[v] = ncol - csr.out_start[v] + 1
+    elif fault == "in list past col":
+        csr.in_start[v] = ncol
+    elif fault == "negative start":
+        csr.out_start[v] = -1
+    elif fault == "col not uint32":
+        csr.col = csr.col.astype(np.int64)
+    elif fault == "sizes not int64":
+        csr.in_size = csr.in_size.astype(np.int32)
+    elif fault == "high of wrong length":
+        csr.high = np.zeros(n + 1, dtype=bool)
+    elif fault == "start not C-contiguous":
+        csr.out_start = np.repeat(csr.out_start, 2)[::2]
+    elif fault == "sizes read-only":
+        csr.out_size.flags.writeable = False
+    elif fault == "h2h larger than el":
+        csr.h2h = np.zeros((el.m + 1, 2), dtype=np.uint32)
+    return el, csr
+
+
+@pytest.mark.parametrize("fault", [
+    "col id >= n", "out list past col", "in list past col", "negative start", "col not uint32",
+    "sizes not int64", "high of wrong length", "start not C-contiguous", "sizes read-only",
+    "h2h larger than el",
+])
+def test_malformed_csr_rejected_before_c(fault):
+    """Each fault is refused with a ValueError before the C loop reads a
+    byte: the touch hook never fires."""
+    el, csr = _bad_csr(fault)
+    reads = []
+    csr.touch = lambda lo, hi: reads.append((lo, hi))
+    with pytest.raises(ValueError, match="^partition_nepp: "):
+        partition_nepp(el, k=4, csr=csr)
+    assert reads == []
+
+
+def assert_same_csr(a, b):
+    for name in CSR_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+    assert a.n == b.n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_native_fill_matches_numpy(data):
+    """build_csr (with col_eid) and build_pruned_csr, filled by the C
+    counting sort, are byte-identical to the numpy argsort fill."""
+    el = random_edgelist(data.draw)
+    tau = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 100.0]), label="tau")
+    assert_same_csr(build_csr(el),
+                    csr_mod._fill_lists_np(el, high=np.zeros(el.n, dtype=bool), eid=True))
+    assert_same_csr(build_pruned_csr(el, tau=tau),
+                    csr_mod._fill_lists_np(el, high=high_mask_np(el.degrees(), tau), eid=False))
+
+
+def test_fill_refuses_id_out_of_range():
+    """An edge array changed after its EdgeList was checked is still
+    refused by the C fill, not written out of bounds."""
+    el = path_graph(4)
+    el.edges[1, 1] = 4
+    with pytest.raises(ValueError, match="edge ids must be < n=4"):
+        build_csr(el)
