@@ -11,10 +11,11 @@ def test_bench_fig9(benchmark):
     print_rows(f"Fig. 9 (HEP vs simple hybrid, OK analog, k={K})", rows)
     by = {r["tau"]: r for r in rows}
     # claim (1), weakened to parity: the paper's up-to-20× NE++-vs-NE
-    # run-time gap is a C++ cache-locality/bookkeeping effect that a
-    # Python port cannot exhibit (see EXPERIMENTS.md); we require NE++
-    # to stay within 2× of NE at τ=100 and to win at τ=1, where the
-    # pruned graph is genuinely smaller.
+    # run-time gap is a design effect that this comparison cannot show
+    # yet, because NE++ runs in C and NE is still a Python loop, so the
+    # measured gap is mostly the substrate's (ROADMAP item 2,
+    # EXPERIMENTS.md); we require NE++ to stay within 2× of NE at τ=100
+    # and to win at τ=1, where the pruned graph is genuinely smaller.
     assert by[100.0]["t_inmem_hep_s"] < 2.0 * by[100.0]["t_inmem_simple_s"]
     assert by[1.0]["t_inmem_hep_s"] < by[1.0]["t_inmem_simple_s"]
     # claim (3): at τ=1 informed HDRF clearly beats random streaming

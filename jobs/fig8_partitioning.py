@@ -1,9 +1,7 @@
 """Fig. 8 reproduction (extra): RF / run-time / memory-model across all
 implemented partitioners on the analog corpus.
-
-Usage: spark-submit jobs/fig8_partitioning.py [scale] [k]
 """
-import sys
+from _session import run_main
 
 from repro.harness import print_rows, run_fig8
 
@@ -14,7 +12,4 @@ def main(scale: float = 0.5, k: int = 32) -> None:
 
 
 if __name__ == "__main__":
-    main(
-        float(sys.argv[1]) if len(sys.argv) > 1 else 0.5,
-        int(sys.argv[2]) if len(sys.argv) > 2 else 32,
-    )
+    run_main(main)

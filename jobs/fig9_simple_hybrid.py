@@ -1,9 +1,7 @@
 """Fig. 9 / §5.4 reproduction (extra): HEP vs the simple hybrid
 baseline (NE + random streaming), normalized ratios.
-
-Usage: spark-submit jobs/fig9_simple_hybrid.py [scale]
 """
-import sys
+from _session import run_main
 
 from repro.harness import print_rows, run_fig9
 
@@ -14,4 +12,4 @@ def main(scale: float = 0.5) -> None:
 
 
 if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 0.5)
+    run_main(main)

@@ -1,18 +1,17 @@
 """Table 1 reproduction: empirical complexity scaling of partitioners.
 
-Usage: spark-submit jobs/table1_complexity.py [base_scale]
 (No Spark computation — the partitioner cores are driver-side — but the
 entrypoint keeps the one-job-per-table convention.)
 """
-import sys
+from _session import run_main
 
 from repro.harness import print_rows, run_table1
 
 
-def main(base: float = 0.1) -> None:
-    rows = run_table1(sizes=(base, 2 * base, 4 * base))
+def main(base_scale: float = 0.1) -> None:
+    rows = run_table1(sizes=(base_scale, 2 * base_scale, 4 * base_scale))
     print_rows("Table 1 (empirical complexity scaling)", rows)
 
 
 if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 0.1)
+    run_main(main)

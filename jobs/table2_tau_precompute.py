@@ -1,10 +1,6 @@
 """Table 2 reproduction: run-time of the τ memory-footprint pre-compute.
-
-Usage: spark-submit jobs/table2_tau_precompute.py [scale]
 """
-import sys
-
-from _session import get_spark
+from _session import get_spark, run_main
 
 from repro.harness import print_rows, run_table2
 
@@ -16,4 +12,4 @@ def main(scale: float = 1.0) -> None:
 
 
 if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 1.0)
+    run_main(main)

@@ -1,8 +1,6 @@
 """Table 3 reproduction: the analog graph corpus and its statistics.
-
-Usage: spark-submit jobs/table3_datasets.py [scale]
 """
-import sys
+from _session import run_main
 
 from repro.harness import print_rows, run_table3
 
@@ -13,4 +11,4 @@ def main(scale: float = 1.0) -> None:
 
 
 if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 1.0)
+    run_main(main)

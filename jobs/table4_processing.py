@@ -1,11 +1,7 @@
 """Table 4 reproduction: partitioning time, replication factor and
 PageRank/BFS/CC processing cost on the gasx engine per partitioner.
-
-Usage: spark-submit jobs/table4_processing.py [scale] [k]
 """
-import sys
-
-from _session import get_spark
+from _session import get_spark, run_main
 
 from repro.harness import print_rows, run_table4
 
@@ -17,7 +13,4 @@ def main(scale: float = 0.5, k: int = 32) -> None:
 
 
 if __name__ == "__main__":
-    main(
-        float(sys.argv[1]) if len(sys.argv) > 1 else 0.5,
-        int(sys.argv[2]) if len(sys.argv) > 2 else 32,
-    )
+    run_main(main)

@@ -1,9 +1,7 @@
 """Table 5 reproduction: HEP vertex balancing (std/avg replicas per
 partition) vs τ at k=32.
-
-Usage: spark-submit jobs/table5_vertex_balance.py [scale]
 """
-import sys
+from _session import run_main
 
 from repro.harness import print_rows, run_table5
 
@@ -14,4 +12,4 @@ def main(scale: float = 1.0) -> None:
 
 
 if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 1.0)
+    run_main(main)

@@ -1,9 +1,7 @@
 """Table 6 reproduction: paged NE++ under memory limits (LRU page-cache
 simulation) vs HEP at τ=1 on the OK analog, k=32.
-
-Usage: spark-submit jobs/table6_paging.py [scale]
 """
-import sys
+from _session import run_main
 
 from repro.harness import print_rows, run_table6
 
@@ -14,4 +12,4 @@ def main(scale: float = 1.0) -> None:
 
 
 if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 1.0)
+    run_main(main)

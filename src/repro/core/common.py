@@ -41,18 +41,25 @@ class PartitionResult:
         cov[self.assignment[:, 2], self.assignment[:, 1]] = True
         return cov
 
+    def _require_edges(self) -> None:
+        if not len(self.assignment):
+            raise ValueError("the partitioning result has no edges; its quality metrics are undefined")
+
     def replication_factor(self) -> float:
         """RF = (1/|V|) Σ_i |V(p_i)| over vertices incident to ≥1 edge."""
+        self._require_edges()
         cov = self.covered()
         return float(cov.sum() / cov.any(axis=0).sum())
 
     def edge_balance(self) -> float:
         """max_i |p_i| / (|E|/k) — 1.0 is perfect balance."""
+        self._require_edges()
         return float(self.sizes.max()) / (self.assignment.shape[0] / self.k)
 
     def vertex_balance(self) -> float:
         """Std-deviation / average of per-partition covered-vertex counts
         (Table 5's metric; population std over the k partitions)."""
+        self._require_edges()
         per = self.covered().sum(axis=1).astype(np.float64)
         return float(per.std() / per.mean())
 
@@ -86,7 +93,7 @@ def check_valid(el: EdgeList, res: PartitionResult, *, alpha: float | None = Non
     """
     a = res.assignment
     assert a.shape == (el.m, 3), f"assigned {a.shape[0]} of {el.m} edges"
-    assert a[:, 2].min() >= 0 and a[:, 2].max() < res.k, "pid out of range"
+    assert not len(a) or 0 <= a[:, 2].min() <= a[:, 2].max() < res.k, "pid out of range"
     want = np.sort(pair_keys(el.edges[:, 0], el.edges[:, 1]))
     got = np.sort(pair_keys(a[:, 0], a[:, 1]))
     assert np.array_equal(want, got), "assigned edge set differs from input edge set"

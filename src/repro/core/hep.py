@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from ..graphs.csr import CSR, build_pruned_csr
+from ..graphs.csr import CSR, build_pruned_csr, h2h_mask
 from ..graphs.degrees import high_mask_np
 from ..graphs.generators import EdgeList
 from .common import PartitionResult, check_k
@@ -60,8 +60,7 @@ def partition_simple_hybrid(el: EdgeList, *, k: int, tau: float) -> PartitionRes
     """NE on G_REST + random streaming on G_H2H at threshold ``tau``."""
     check_k(k)
     t0 = time.perf_counter()
-    high = high_mask_np(el.degrees(), tau)
-    is_h2h = high[el.edges[:, 0]] & high[el.edges[:, 1]]
+    is_h2h = h2h_mask(el, high_mask_np(el.degrees(), tau))
     rest, h2h = el.edges[~is_h2h], el.edges[is_h2h]
     # NE runs on the rest-subgraph; vertex ids are shared with el so no
     # relabeling is needed (isolated ids simply never appear).

@@ -11,6 +11,9 @@ from pyspark.sql import functions as F
 
 from .engine import observed_rows, symmetrize, two_stage_agg, vertices
 
+DAMPING = 0.85  # PageRank's β, GraphX's default resetProb of 0.15
+BFS_MAX_ITER = 50  # supersteps before BFS stops short of its fixpoint
+
 
 @dataclass
 class RunStats:
@@ -21,7 +24,7 @@ class RunStats:
     wall_s: float
 
 
-def pagerank(assignment: DataFrame, *, n_iter: int = 10, beta: float = 0.85) -> tuple[DataFrame, RunStats]:
+def pagerank(assignment: DataFrame, *, n_iter: int = 10) -> tuple[DataFrame, RunStats]:
     """GraphX-style PageRank on the undirected graph: every vertex
     active every iteration (the paper's communication-bound workload).
     Returns (DataFrame(v, rank), stats). rank = 0.15 + 0.85·Σ in-contrib,
@@ -33,7 +36,7 @@ def pagerank(assignment: DataFrame, *, n_iter: int = 10, beta: float = 0.85) -> 
     # every incident vertex has a neighbour, so from the first iteration
     # on ``total`` holds a contribution for each of them
     ranks = vertices(assignment).withColumn("rank", F.lit(1.0))
-    rank = F.lit(1 - beta) + F.lit(beta) * F.col("contrib")
+    rank = F.lit(1 - DAMPING) + F.lit(DAMPING) * F.col("contrib")
     comm = 0
     for _ in range(n_iter):
         msgs = sym_deg.join(ranks, sym_deg.src == ranks.v).select(
@@ -45,7 +48,7 @@ def pagerank(assignment: DataFrame, *, n_iter: int = 10, beta: float = 0.85) -> 
     return ranks, RunStats(n_iter, comm, time.perf_counter() - t0)
 
 
-def bfs(assignment: DataFrame, *, source: int, max_iter: int = 50) -> tuple[DataFrame, RunStats]:
+def bfs(assignment: DataFrame, *, source: int) -> tuple[DataFrame, RunStats]:
     """Level-synchronous BFS from ``source``. Returns
     (DataFrame(v, dist) over *reached* vertices, stats)."""
     t0 = time.perf_counter()
@@ -54,7 +57,7 @@ def bfs(assignment: DataFrame, *, source: int, max_iter: int = 50) -> tuple[Data
     dist = spark.createDataFrame([(source, 0)], ["v", "dist"]).localCheckpoint()
     frontier = dist
     comm = it = 0
-    while it < max_iter:
+    while it < BFS_MAX_ITER:
         it += 1
         msgs = sym.join(frontier, sym.src == frontier.v).select(
             "pid", "dst", (F.col("dist") + 1).alias("cand")

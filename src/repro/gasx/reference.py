@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.generators import EdgeList
+from .algorithms import DAMPING
 
 
 def _sym_adj(el: EdgeList) -> tuple[np.ndarray, np.ndarray]:
@@ -19,7 +20,7 @@ def _sym_adj(el: EdgeList) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
-def pagerank_ref(el: EdgeList, *, n_iter: int = 10, beta: float = 0.85) -> np.ndarray:
+def pagerank_ref(el: EdgeList, *, n_iter: int = 10) -> np.ndarray:
     """rank = 0.15 + 0.85 Σ contrib, matching gasx.pagerank. Isolated
     vertices keep rank 1.0 only if they never appear — gasx operates on
     incident vertices, so callers index by incident vertex id."""
@@ -30,7 +31,7 @@ def pagerank_ref(el: EdgeList, *, n_iter: int = 10, beta: float = 0.85) -> np.nd
         contrib = np.zeros(el.n)
         w = rank[src] / outdeg[src]
         np.add.at(contrib, dst, w)
-        rank = (1 - beta) + beta * contrib
+        rank = (1 - DAMPING) + DAMPING * contrib
     return rank
 
 

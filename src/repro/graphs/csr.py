@@ -129,7 +129,7 @@ def _fill_lists(el: EdgeList, *, high: np.ndarray, eid: bool) -> CSR:
     if status != 0:
         raise ValueError("the edge list does not match its list counts")
     return CSR(n=n, out_start=out_start, out_size=out_size, in_start=in_start,
-               in_size=in_size, col=col, high=high, h2h=_h2h(el, high), col_eid=col_eid)
+               in_size=in_size, col=col, high=high, h2h=el.edges[h2h_mask(el, high)], col_eid=col_eid)
 
 
 def _fill_lists_np(el: EdgeList, *, high: np.ndarray, eid: bool) -> CSR:
@@ -162,12 +162,12 @@ def _fill_lists_np(el: EdgeList, *, high: np.ndarray, eid: bool) -> CSR:
         if col_eid is not None:
             col_eid[pos] = ids[o]
     return CSR(n=n, out_start=out_start, out_size=out_size, in_start=in_start,
-               in_size=in_size, col=col, high=high, h2h=_h2h(el, high), col_eid=col_eid)
+               in_size=in_size, col=col, high=high, h2h=el.edges[h2h_mask(el, high)], col_eid=col_eid)
 
 
-def _h2h(el: EdgeList, high: np.ndarray) -> np.ndarray:
-    """The edges between two high-degree vertices, in input order."""
-    return el.edges[high[el.edges[:, 0]] & high[el.edges[:, 1]]]
+def h2h_mask(el: EdgeList, high: np.ndarray) -> np.ndarray:
+    """E_h2h as a mask over ``el.edges``: both endpoints high-degree."""
+    return high[el.edges[:, 0]] & high[el.edges[:, 1]]
 
 
 def build_csr(el: EdgeList) -> CSR:

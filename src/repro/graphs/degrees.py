@@ -6,11 +6,11 @@ The split classifies vertices into high-degree (``d(v) > τ·∅_d``, with
 * ``E_h2h`` — both endpoints high-degree → streaming phase, and
 * ``E \\ E_h2h`` — at least one low endpoint → in-memory NE++ phase.
 
-``degrees_df`` also feeds the τ footprint sweep (:mod:`repro.tau`),
-which prices each τ on the driver with the numpy rule ``high_mask_np``.
-The driver-side partitioner cores classify with that same rule
-(per-vertex degrees come from ``EdgeList.degrees``); HEP's numpy split
-is the pruned CSR's ``h2h``. Tests assert numpy and Spark agree and
+The three Spark jobs here serve only the benchmark set-up and their
+DuckDB-oracle tests. The τ footprint sweep (:mod:`repro.tau`) and the
+driver-side partitioner cores classify with the numpy rule
+``high_mask_np`` over ``EdgeList.degrees``; HEP's numpy split is the
+pruned CSR's ``h2h``. Tests assert numpy and Spark agree and
 oracle-check the Spark jobs against DuckDB SQL.
 """
 from __future__ import annotations
@@ -68,7 +68,7 @@ def split_edges(edges: DataFrame, high: DataFrame) -> tuple[DataFrame, DataFrame
 
 def high_mask_np(deg: np.ndarray, tau: float) -> np.ndarray:
     """Boolean mask of high-degree vertices: the one τ rule, used by
-    the pruned CSR, the §4.2 model and the Spark sweep alike.
+    the pruned CSR, the §4.2 model and the τ sweep alike.
 
     The mean is taken over vertices with degree ≥ 1, as in
     :func:`high_vertices` (compact analog graphs have no isolated

@@ -150,7 +150,6 @@ def web_locality(
     mean_host_size: float,
     n_edges: int,
     p_intra: float = 0.9,
-    host_alpha: float = 1.3,
     seed: int = 0,
 ) -> EdgeList:
     """Web-graph analog: Zipf-sized hosts, mostly intra-host edges.
@@ -163,7 +162,7 @@ def web_locality(
     """
     g = np.random.default_rng(seed)
     ranks = np.arange(1, n_hosts + 1, dtype=np.float64)
-    w = ranks ** (-host_alpha)
+    w = ranks ** (-1.3)  # Zipf exponent of host sizes and popularity
     w /= w.sum()
     sizes = np.maximum(1, g.poisson(w * mean_host_size * n_hosts)).astype(np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -195,7 +194,6 @@ def dense_communities(
     n: int,
     n_comms: int,
     n_edges: int,
-    p_intra: float = 0.95,
     seed: int = 0,
 ) -> EdgeList:
     """Brain-graph analog: few vertices, very high mean degree, dense
@@ -209,7 +207,7 @@ def dense_communities(
     pos_of[order] = np.arange(n)
     starts = np.searchsorted(comm[order], np.arange(n_comms))
     counts = np.bincount(comm, minlength=n_comms)
-    n_in = int(n_edges * p_intra)
+    n_in = int(n_edges * 0.95)  # intra-community share of the edges
     c = g.integers(0, n_comms, n_in)
     cs = np.maximum(counts[c], 1)
     u = starts[c] + np.floor(g.random(n_in) * cs).astype(np.int64)
@@ -294,3 +292,18 @@ def to_pandas(el: EdgeList) -> pd.DataFrame:
 def to_spark(spark, el: EdgeList):
     """Edge list as a Spark DataFrame (src: long, dst: long)."""
     return spark.createDataFrame(to_pandas(el))
+
+
+def from_spark(df) -> EdgeList:
+    """Inverse of :func:`to_spark`: the ``src``/``dst`` columns as an
+    EdgeList, in one Arrow transfer. Ids must be integers in [0, 2³²)
+    (checked before the uint32 cast would wrap them); n is the largest
+    id + 1, and EdgeList refuses self-loops and repeated pairs."""
+    table = df.select("src", "dst").toArrow()
+    edges = np.empty((table.num_rows, 2), dtype=np.uint32)
+    for j, name in enumerate(("src", "dst")):
+        ids = table.column(name).to_numpy()
+        if ids.dtype.kind not in "iu" or len(ids) and not 0 <= ids.min() <= ids.max() < 2**32:
+            raise ValueError(f"from_spark: every {name} id must be an integer in [0, 2**32)")
+        edges[:, j] = ids
+    return EdgeList(edges=edges, n=int(edges.max()) + 1 if len(edges) else 0)

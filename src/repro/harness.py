@@ -102,7 +102,7 @@ def run_table2(
     taus=(0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0),
     k: int = 32,
 ) -> list[dict]:
-    """Time the Spark τ-footprint sweep per graph (paper Table 2)."""
+    """Time the τ-footprint sweep of each graph's Spark edge table (Table 2)."""
     rows = []
     for name in names:
         el = graph(name, scale=scale)

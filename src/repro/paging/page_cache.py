@@ -13,7 +13,7 @@ as measured compute time + faults × SSD latency.
 
 NE++ never reads the cache, so its touches do not depend on the memory
 limit: one NE++ run records them, and the trace is replayed against a
-fresh cache per limit.
+fresh cache per limit; a second NE++ run, without the hook, is timed.
 """
 from __future__ import annotations
 
@@ -64,9 +64,10 @@ class PagingRun:
 
 
 def run_nepp_paged(el, *, k: int, tau: float, limits) -> list[PagingRun]:
-    """Run NE++ once, recording its column reads, and replay them
-    against an LRU cache of each limit in ``limits`` minus the fixed
-    §4.2 structures; one :class:`PagingRun` per limit, in order."""
+    """Run NE++ once recording its column reads and once timed without a
+    hook, and replay the reads against an LRU cache of each limit in
+    ``limits`` minus the fixed §4.2 structures; one :class:`PagingRun`
+    per limit, in order."""
     import time
 
     from ..core.memory_model import hep_fixed_bytes
@@ -76,6 +77,8 @@ def run_nepp_paged(el, *, k: int, tau: float, limits) -> list[PagingRun]:
     csr = build_pruned_csr(el, tau=tau)
     trace = array("q")  # (byte_lo, byte_hi) pairs, flattened
     csr.touch = lambda lo, hi: trace.extend((lo, hi))
+    partition_nepp(el, k=k, csr=csr)
+    csr = build_pruned_csr(el, tau=tau)  # the traced run consumed its CSR
     t0 = time.perf_counter()
     partition_nepp(el, k=k, csr=csr)
     compute = time.perf_counter() - t0

@@ -7,46 +7,35 @@ terms, and picks the largest τ that fits. The paper reports this step's
 run-time per graph (Table 2) and argues it is negligible next to
 partitioning; our Table 2 bench measures the same.
 
-The sweep reads the degree table once: Spark computes the degree
-histogram, and the driver prices every τ with the §4.2 formula
+The sweep is HEP's own degree pass: one Arrow transfer of the edge table
+into an :class:`~repro.graphs.generators.EdgeList`, then every τ priced
+from its ``degrees()`` with the §4.2 formula
 (:func:`~repro.core.memory_model.hep_footprint_bytes`).
 """
 from __future__ import annotations
 
-import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from ..core.memory_model import hep_footprint_bytes
-from ..graphs.degrees import degrees_df
+from ..graphs.generators import from_spark
 
 
 def footprint_sweep(
     edges: DataFrame, *, taus: list[float], k: int
 ) -> list[tuple[float, int]]:
-    """[(τ, modeled HEP footprint in bytes)] from one Spark aggregation,
-    the degree histogram with the largest id of each degree.
+    """[(τ, modeled HEP footprint in bytes)] from one degree pass over
+    the edge table.
 
-    The histogram is expanded on the driver into a zero-padded int64
-    degree array over the id space max(v) + 1: 8 bytes per id, a third
-    of the 24·|V| bytes of index arrays the footprint itself budgets
-    (pricing a τ reads it in place and adds one-byte masks). |V| is
-    thus the id space, as in the model and the pruned CSR. Ids above the
-    largest endpoint cannot be seen from an edge DataFrame, so a graph
-    whose highest ids are isolated is undercounted.
+    The table must hold what ``partition_hep`` takes: ids in [0, 2³²),
+    no self-loop, no repeated pair (``ValueError`` otherwise). |V| is
+    the id space max(v) + 1, as in the model and the pruned CSR; ids
+    above the largest endpoint cannot be seen from an edge DataFrame, so
+    a graph whose highest ids are isolated is undercounted.
     """
-    hist = (
-        degrees_df(edges)
-        .groupBy("degree")
-        .agg(F.count("*").alias("vertices"), F.max("v").alias("top"))
-        .collect()
-    )
-    if not hist:
+    el = from_spark(edges)
+    if not el.m:
         raise ValueError("footprint_sweep needs at least one edge; the edge DataFrame is empty")
-    n = max(r["top"] for r in hist) + 1
-    deg = np.zeros(n, dtype=np.int64)
-    nonzero = np.repeat([r["degree"] for r in hist], [r["vertices"] for r in hist])
-    deg[: len(nonzero)] = nonzero
+    deg = el.degrees()
     return [(tau, hep_footprint_bytes(deg, tau=tau, k=k)) for tau in taus]
 
 

@@ -6,10 +6,12 @@ from repro.graphs.generators import (
     GRAPH_NAMES,
     EdgeList,
     dense_communities,
+    from_spark,
     graph,
     graph_type,
     rmat,
     to_pandas,
+    to_spark,
     web_locality,
 )
 
@@ -115,6 +117,19 @@ def test_to_pandas_roundtrip():
     assert list(pdf.columns) == ["src", "dst"]
     assert len(pdf) == el.m
     assert (pdf["src"].to_numpy() == el.edges[:, 0]).all()
+
+
+@pytest.mark.parametrize("el", [
+    tiny_graph("OK"),
+    EdgeList(edges=np.array([[0, 1], [1, 2], [2, 0], [4, 5]], dtype=np.uint32), n=6),
+], ids=["OK", "isolated-id"])
+def test_from_spark_inverts_to_spark(spark, el):
+    """One Arrow transfer gives back the same edge array, row order
+    included, and n (the isolated id 3 lies below the largest id)."""
+    back = from_spark(to_spark(spark, el))
+    assert back.n == el.n
+    assert back.edges.dtype == np.uint32
+    assert np.array_equal(back.edges, el.edges)
 
 
 def test_unknown_graph_raises():

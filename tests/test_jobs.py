@@ -1,5 +1,13 @@
 """Smoke tests: every jobs/ entrypoint harness runs at tiny scale and
-produces the expected row schema."""
+produces the expected row schema, and the entrypoints refuse bad
+arguments before doing any work."""
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
 from repro.harness import (
     print_rows,
     run_fig8,
@@ -109,3 +117,60 @@ def test_job_modules_importable():
                 assert hasattr(mod, "main")
     finally:
         sys.path.remove(str(jobs))
+
+
+JOBS = pathlib.Path(__file__).resolve().parents[1] / "jobs"
+
+
+@pytest.fixture
+def run_main(monkeypatch):
+    monkeypatch.syspath_prepend(str(JOBS))
+    from _session import run_main
+
+    return run_main
+
+
+@pytest.mark.parametrize("argv", [
+    ["abc"], ["0"], ["-1"], ["nan"], ["inf"],
+    ["0.3", "0"], ["0.3", "-2"], ["0.3", "2.5"], ["0.3", "x"],
+    ["0.3", "8", "9"],
+])
+def test_bad_job_arguments_exit_2(run_main, argv, capsys):
+    """A non-number, a scale <= 0, a k < 1 or an extra argument exits
+    with status 2 and a usage line, and ``main`` never runs."""
+    calls = []
+
+    def main(scale: float = 0.5, k: int = 32) -> None:
+        calls.append((scale, k))
+
+    with pytest.raises(SystemExit) as exc:
+        run_main(main, argv)
+    assert exc.value.code == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("usage: ")
+
+
+def test_job_arguments_and_defaults(run_main):
+    calls = []
+
+    def main(scale: float = 0.5, k: int = 32) -> None:
+        calls.append((scale, k))
+
+    run_main(main, [])
+    run_main(main, ["0.25"])
+    run_main(main, ["1e-2", "8"])
+    assert calls == [(0.5, 32), (0.25, 32), (0.01, 8)]
+    assert [type(v) for v in calls[-1]] == [float, int]
+
+
+def test_job_refuses_bad_k_before_work():
+    """The real entrypoint: k=0 ends with status 2 and a usage line, no
+    traceback, before any graph is generated or Spark starts."""
+    src = str(JOBS.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, str(JOBS / "table4_processing.py"), "0.3", "0"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 2
+    assert out.stderr.startswith("usage: table4_processing.py")
+    assert "Traceback" not in out.stderr and out.stdout == ""

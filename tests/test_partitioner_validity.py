@@ -12,6 +12,7 @@ from repro.core.ne import partition_ne
 from repro.core.nepp import partition_nepp
 from repro.core.sne import partition_sne
 from repro.graphs.csr import build_pruned_csr
+from repro.graphs.generators import EdgeList
 
 from .conftest import TEST_GRAPHS, path_graph, star_graph, tiny_graph, two_triangles
 
@@ -71,6 +72,27 @@ def test_valid_on_disconnected(pname):
     el = two_triangles()
     res = PARTITIONERS[pname](el, 2)
     check_valid(el, res, alpha=1.5)
+
+
+def empty_graph() -> EdgeList:
+    """Three vertices and no edge."""
+    return EdgeList(edges=np.empty((0, 2), dtype=np.uint32), n=3)
+
+
+@pytest.mark.parametrize("k", (1, 4))
+@pytest.mark.parametrize("pname", sorted(PARTITIONERS) + ["dbh"])
+def test_valid_on_empty_graph(pname, k):
+    el = empty_graph()
+    res = PARTITIONERS.get(pname, UNBALANCED.get(pname))(el, k)
+    assert res.assignment.shape == (0, 3)
+    check_valid(el, res, alpha=1.0)
+
+
+@pytest.mark.parametrize("metric", ["replication_factor", "edge_balance", "vertex_balance"])
+def test_metrics_refuse_empty_result(metric):
+    res = partition_hep(empty_graph(), k=4, tau=1.0)
+    with pytest.raises(ValueError, match="has no edges"):
+        getattr(res, metric)()
 
 
 @pytest.mark.parametrize("k", KS)

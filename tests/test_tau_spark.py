@@ -64,8 +64,37 @@ def test_sweep_rejects_empty_edges(spark):
         footprint_sweep(empty, taus=TAUS, k=32)
 
 
+@pytest.mark.parametrize("rows, fault", [
+    ([(0, 1), (1, 2), (1, 0)], "repeats the unordered pair"),
+    ([(0, 1), (2, 2)], "self-loop"),
+    ([(0, 1), (-1, 2)], r"\[0, 2\*\*32\)"),
+    ([(0, 1), (1, 2**32)], r"\[0, 2\*\*32\)"),
+])
+def test_sweep_rejects_what_hep_rejects(spark, rows, fault):
+    """The sweep takes the edge table HEP takes: a repeated pair, a
+    self-loop or an id outside [0, 2³²) raises before any τ is priced."""
+    edges = spark.createDataFrame(rows, "src long, dst long")
+    with pytest.raises(ValueError, match=fault):
+        footprint_sweep(edges, taus=TAUS, k=32)
+
+
+def test_sweep_is_one_transfer(spark):
+    """The sweep's only Spark work is the Arrow transfer of the edge
+    table: one job of one stage, so no shuffle and no aggregation."""
+    edges = to_spark(spark, tiny_graph("OK")).localCheckpoint()
+    sc = spark.sparkContext
+    sc.setJobGroup("tau-sweep", "footprint_sweep")
+    try:
+        footprint_sweep(edges, taus=TAUS, k=32)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup("tau-sweep")
+    assert [len(tracker.getJobInfo(j).stageIds) for j in jobs] == [1]
+
+
 def test_single_pass_many_taus(spark):
-    """The sweep is one aggregation regardless of the τ-grid size."""
+    """The sweep is one degree pass regardless of the τ-grid size."""
     el = tiny_graph("LJ")
     taus = list(np.linspace(0.5, 50, 25))
     got = footprint_sweep(to_spark(spark, el), taus=taus, k=8)
