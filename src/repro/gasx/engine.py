@@ -24,7 +24,7 @@ before messaging.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Observation
+from pyspark.sql import Column, DataFrame, Observation, Window
 from pyspark.sql import functions as F
 
 
@@ -37,13 +37,43 @@ def symmetrize(assignment: DataFrame) -> DataFrame:
     return fwd.unionAll(rev)
 
 
-def vertices(assignment: DataFrame) -> DataFrame:
-    """DataFrame(v): all vertices incident to at least one edge."""
-    return (
-        assignment.select(F.col("src").alias("v"))
-        .unionAll(assignment.select(F.col("dst").alias("v")))
-        .distinct()
+def edge_table(assignment: DataFrame) -> DataFrame:
+    """The edges every superstep scans: DataFrame(pid, src, dst, outdeg),
+    both directions of every edge with the out-degree of ``src``,
+    checkpointed hash-partitioned and sorted by ``src``, so that vertex
+    state partitioned the same way joins it without moving an edge
+    (with adaptive execution off: under it a checkpoint keeps no
+    partitioning).
+
+    Ids are declared non-null, so no superstep plans a null check and
+    every vertex state has one type. The partitioning comes from the
+    out-degree window's exchange. ``repartition("src")`` would not do:
+    with one shuffle partition Spark plans it as a single partition,
+    which satisfies every later distribution and so drops the
+    replica-sync exchanges of :func:`two_stage_agg`.
+    """
+    ids = assignment.where(
+        F.col("src").isNotNull() & F.col("dst").isNotNull() & F.col("pid").isNotNull()
     )
+    outdeg = F.count(F.lit(1)).over(Window.partitionBy("src"))
+    return symmetrize(ids).withColumn("outdeg", outdeg).localCheckpoint()
+
+
+def vertex_table(edges: DataFrame, name: str, init: Column) -> DataFrame:
+    """Initial vertex state DataFrame(v, <name>) over the distinct ``src``
+    of an :func:`edge_table`, so over every vertex incident to an edge:
+    the aggregate ``init`` of each vertex's out-edges. It is partitioned
+    like the table and, like a superstep's aggregate, nullable, so the
+    first superstep plans as every later one does."""
+    return edges.groupBy("src").agg(init.alias(name)).withColumnRenamed("src", "v")
+
+
+def ship(edges: DataFrame, state: DataFrame) -> DataFrame:
+    """Every row of an :func:`edge_table` joined with the vertex state
+    DataFrame(v, ...) of its ``src``: the vertex→replica ship. Both sides
+    are partitioned on the key, so this is a hash join that moves and
+    sorts nothing, as GraphX joins vertex values into edge partitions."""
+    return edges.join(state.hint("shuffle_hash"), edges.src == state.v)
 
 
 def two_stage_agg(msgs: DataFrame, agg_col: str, how: str) -> tuple[DataFrame, Observation]:
@@ -64,3 +94,11 @@ def observed_rows(obs: Observation) -> int:
     whose input turned out empty, observer included: that is zero rows
     (``obs.get`` fails on the missing metric, hence the JVM-side map)."""
     return int(obs._jo.getAsJava().getOrDefault("rows", 0))
+
+
+def compiled_classes(spark) -> int:
+    """Classes Spark's code generator has compiled in this JVM so far.
+    It compiles only on a miss of its cache of generated code, so a
+    call's delta of this counter shows whether the call recompiled."""
+    metrics = spark.sparkContext._jvm.org.apache.spark.metrics.source.CodegenMetrics
+    return int(metrics.METRIC_SOURCE_CODE_SIZE().getCount())

@@ -6,8 +6,10 @@ The split classifies vertices into high-degree (``d(v) > τ·∅_d``, with
 * ``E_h2h`` — both endpoints high-degree → streaming phase, and
 * ``E \\ E_h2h`` — at least one low endpoint → in-memory NE++ phase.
 
-The three Spark jobs here serve only the benchmark set-up and their
-DuckDB-oracle tests. The τ footprint sweep (:mod:`repro.tau`) and the
+The Spark functions here serve only the benchmark set-up and their
+DuckDB-oracle tests. The threshold τ·∅_d is one small job that returns a
+scalar; E_h2h is one more, the edges semi-joined twice with the
+broadcast high set. The τ footprint sweep (:mod:`repro.tau`) and the
 driver-side partitioner cores classify with the numpy rule
 ``high_mask_np`` over ``EdgeList.degrees``; HEP's numpy split is the
 pruned CSR's ``h2h``. Tests assert numpy and Spark agree and
@@ -26,11 +28,11 @@ def degrees_df(edges: DataFrame) -> DataFrame:
     """Undirected per-vertex degree: DataFrame(v, degree).
 
     Counts each edge once per endpoint (the input holds each undirected
-    edge exactly once).
+    edge exactly once). Both endpoints come from one pass over the
+    edges (an ``explode``, not a union of two scans), so the map side of
+    the aggregation is one generated stage.
     """
-    ends = edges.select(F.col("src").alias("v")).unionAll(
-        edges.select(F.col("dst").alias("v"))
-    )
+    ends = edges.select(F.explode(F.array("src", "dst")).alias("v"))
     return ends.groupBy("v").agg(F.count("*").alias("degree"))
 
 
@@ -43,20 +45,25 @@ def check_tau(tau: float) -> None:
 
 
 def high_vertices(degrees: DataFrame, tau: float) -> DataFrame:
-    """Vertices with d(v) > τ·∅_d: DataFrame(v). The threshold is a
-    one-row aggregate cross-joined into the same plan, one Spark job."""
+    """Vertices with d(v) > τ·∅_d: DataFrame(v). The mean is one Spark
+    job run here; τ·∅_d enters the returned plan as a scalar literal
+    (compiled into its generated code, so each new graph or τ compiles
+    its filter once)."""
     check_tau(tau)
-    thresh = degrees.agg((F.lit(tau) * F.avg("degree")).alias("thresh"))
-    return degrees.crossJoin(thresh).where(F.col("degree") > F.col("thresh")).select("v")
+    mean = degrees.agg(F.avg("degree")).first()[0]
+    if mean is None:  # no vertices
+        return degrees.select("v")
+    return degrees.where(F.col("degree") > F.lit(tau * mean)).select("v")
 
 
 def split_edges(edges: DataFrame, high: DataFrame) -> tuple[DataFrame, DataFrame]:
     """Split into (in-memory edges, E_h2h) given the high-vertex set.
 
-    E_h2h is two semi-joins with the high set, the rest an anti-join
-    with E_h2h. A using-join puts its key column first, hence the
-    ``select``s.
+    E_h2h is two semi-joins with the broadcast high set, the rest an
+    anti-join with E_h2h. A using-join puts its key column first, hence
+    the ``select``s.
     """
+    high = F.broadcast(high)
     h2h = (
         edges.join(high.withColumnRenamed("v", "src"), "src", "left_semi")
         .join(high.withColumnRenamed("v", "dst"), "dst", "left_semi")

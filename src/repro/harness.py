@@ -156,7 +156,8 @@ def run_table4(
 ) -> list[dict]:
     """Partitioning time, RF, and PageRank/BFS/CC processing cost per
     (graph, partitioner). Processing cost = wall seconds *and* replica-
-    sync rows (the machine-independent communication volume)."""
+    sync rows (the machine-independent communication volume); ``classes``
+    counts the generated classes Spark compiled for the row's runs."""
     rows = []
     for gname in names:
         el = graph(gname, scale=scale)
@@ -166,11 +167,12 @@ def run_table4(
             res, t_part = run_partitioner(pname, el, k=k)
             adf = assignment_to_spark(spark, res).localCheckpoint()
             ranks, pr_stats = pagerank(adf, n_iter=pr_iters)
-            bfs_wall, bfs_comm = 0.0, 0
+            bfs_wall, bfs_comm, bfs_classes = 0.0, 0, 0
             for s in sources:
                 _, st = bfs(adf, source=int(s))
                 bfs_wall += st.wall_s
                 bfs_comm += st.comm_rows
+                bfs_classes += st.compiled_classes
             _, cc_stats = connected_components(adf, max_iter=cc_max_iter)
             rows.append(
                 dict(
@@ -184,6 +186,7 @@ def run_table4(
                     bfs_comm=bfs_comm,
                     cc_s=round(cc_stats.wall_s, 2),
                     cc_comm=cc_stats.comm_rows,
+                    classes=pr_stats.compiled_classes + bfs_classes + cc_stats.compiled_classes,
                 )
             )
             adf.unpersist()

@@ -134,3 +134,11 @@ def test_high_vertices_rejects_bad_tau(spark, tau):
     degrees = degrees_df(to_spark(spark, tiny_graph("OK")))
     with pytest.raises(ValueError, match="^tau must"):
         high_vertices(degrees, tau)
+
+
+def test_high_vertices_of_no_edges(spark):
+    """No edges, no mean: the high set and E_h2h are empty."""
+    edges = spark.createDataFrame([], "src long, dst long")
+    high = high_vertices(degrees_df(edges), 1.0)
+    assert high.count() == 0
+    assert split_edges(edges, high)[1].count() == 0
