@@ -11,7 +11,13 @@ from ._scales import K, T4_SCALE
 
 
 def test_bench_table4(spark, benchmark):
-    spark.conf.set("spark.sql.shuffle.partitions", "16")
+    # as jobs/_session.get_spark sets them: with adaptive execution on, a
+    # checkpoint keeps no partitioning and every superstep re-shuffles
+    # the edge table
+    conf = {"spark.sql.shuffle.partitions": "16", "spark.sql.adaptive.enabled": "false"}
+    old = {key: spark.conf.get(key) for key in conf}
+    for key, value in conf.items():
+        spark.conf.set(key, value)
     try:
         rows = benchmark.pedantic(
             lambda: run_table4(
@@ -26,7 +32,8 @@ def test_bench_table4(spark, benchmark):
             iterations=1,
         )
     finally:
-        spark.conf.set("spark.sql.shuffle.partitions", "64")
+        for key, value in old.items():
+            spark.conf.set(key, value)
     print_rows(f"Table 4 (graph processing, k={K})", rows)
     by = {(r["graph"], r["partitioner"]): r for r in rows}
     for g in ("OK", "IT", "TW"):

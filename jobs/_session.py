@@ -12,13 +12,20 @@ import math
 from pyspark.sql import SparkSession
 
 
+# Adaptive execution off: under it a checkpoint keeps no partitioning,
+# so every gasx superstep would re-shuffle the edge table.
+SQL_CONF = {
+    "spark.sql.shuffle.partitions": "16",
+    "spark.sql.adaptive.enabled": "false",
+    "spark.sql.execution.arrow.pyspark.enabled": "true",
+}
+
+
 def get_spark(app: str) -> SparkSession:
-    s = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "16")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
+    builder = SparkSession.builder.appName(app)
+    for key, value in SQL_CONF.items():
+        builder = builder.config(key, value)
+    s = builder.getOrCreate()
     s.sparkContext.setLogLevel("ERROR")
     return s
 

@@ -6,20 +6,13 @@ result into the ``DataFrame(src, dst, pid)`` that gasx consumes.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from ..graphs.generators import arrays_to_spark
 from .common import PartitionResult
 
 
 def assignment_to_spark(spark: SparkSession, res: PartitionResult) -> DataFrame:
     """Lift a driver-side PartitionResult into DataFrame(src, dst, pid)."""
-    return spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "src": res.assignment[:, 0],
-                "dst": res.assignment[:, 1],
-                "pid": res.assignment[:, 2],
-            }
-        )
-    )
+    a = res.assignment
+    return arrays_to_spark(spark, {"src": a[:, 0], "dst": a[:, 1], "pid": a[:, 2]})

@@ -6,9 +6,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
 from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
+from ..graphs.generators import arrays_to_spark
 from .engine import (
     compiled_classes,
     edge_table,
@@ -61,7 +63,7 @@ def bfs(assignment: DataFrame, *, source: int) -> tuple[DataFrame, RunStats]:
     spark = assignment.sparkSession
     t0, c0 = time.perf_counter(), compiled_classes(spark)
     edges = edge_table(assignment)
-    start = spark.createDataFrame([(source, 0)], "v long, dist long")
+    start = arrays_to_spark(spark, {"v": np.array([source]), "dist": np.array([0])})
     # every vertex with its distance once reached (the source too, edges
     # or not) and whether the last superstep reached it: the frontier
     unreached = edges.select(

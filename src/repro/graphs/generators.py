@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+from pyspark.sql import functions as F
 
 
 @dataclass(frozen=True)
@@ -291,7 +293,32 @@ def to_pandas(el: EdgeList) -> pd.DataFrame:
 
 def to_spark(spark, el: EdgeList):
     """Edge list as a Spark DataFrame (src: long, dst: long)."""
-    return spark.createDataFrame(to_pandas(el))
+    return arrays_to_spark(spark, {"src": el.edges[:, 0], "dst": el.edges[:, 1]})
+
+
+LIFT_CHUNK = 4096  # array indices per Arrow list row in arrays_to_spark
+
+
+def arrays_to_spark(spark, columns: dict[str, np.ndarray]):
+    """Named equal-length integer arrays as a Spark DataFrame of nullable
+    ``long`` columns, one row per index, in order; the inverse of
+    :func:`from_spark`'s Arrow read.
+
+    Spark holds a driver-side frame as a local relation whose rows every
+    analyzer pass walks and whose task Java-serializes them, so the
+    arrays go in as ⌈m / LIFT_CHUNK⌉ rows of ``list<int64>`` columns,
+    and ``inline(arrays_zip(...))`` makes the m rows on the executor.
+    """
+    m = len(next(iter(columns.values())))
+    if any(len(col) != m for col in columns.values()):
+        raise ValueError(f"arrays_to_spark: columns differ in length: "
+                         f"{ {name: len(col) for name, col in columns.items()} }")
+    offsets = pa.array(np.append(np.arange(0, m, LIFT_CHUNK), m).astype(np.int32))
+    table = pa.table({
+        name: pa.ListArray.from_arrays(offsets, np.ascontiguousarray(col, dtype=np.int64))
+        for name, col in columns.items()
+    })
+    return spark.createDataFrame(table).select(F.inline(F.arrays_zip(*columns)))
 
 
 def from_spark(df) -> EdgeList:

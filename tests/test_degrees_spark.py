@@ -1,4 +1,6 @@
 """Spark degree pipeline + τ split, oracle-checked against DuckDB."""
+import re
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
@@ -125,6 +127,19 @@ def test_high_mask_threshold_strict(spark):
     assert footprint_sweep(edges, taus=[1.0], k=4) == [
         (1.0, 4 * len(csr.col) + hep_fixed_bytes(5, k=4))
     ]
+
+
+def test_split_broadcasts_local_high_set(spark):
+    """The high set comes back as local rows with ``v`` non-null: the
+    split broadcasts them as they are, with no degree aggregate and no
+    null filter on that side."""
+    edges = to_spark(spark, tiny_graph("OK"))
+    high = high_vertices(degrees_df(edges), 1.0)
+    assert high.schema.simpleString() == "struct<v:bigint>"
+    assert not high.schema["v"].nullable
+    plan = split_edges(edges, high)[1]._jdf.queryExecution().executedPlan().toString()
+    assert "HashAggregate" not in plan
+    assert re.search(r"BroadcastExchange [^\n]*\n[:\s]*\+- LocalTableScan \[src#\d+L\]", plan)
 
 
 @pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])

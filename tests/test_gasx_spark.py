@@ -1,6 +1,7 @@
 """gasx engine + algorithms: correctness against dense references and
 partitioning-invariance (the partitioning changes cost, never results).
 """
+import pathlib
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.graphs.generators import to_spark
 
 from .conftest import tiny_graph, two_triangles
 
+JOBS = pathlib.Path(__file__).resolve().parents[1] / "jobs"
 GRAPH = "OK"
 SCALE = 0.01
 
@@ -115,6 +117,7 @@ def test_bfs_source_only_component(spark):
     dist, _ = bfs(adf, source=3)
     got = {r["v"]: r["dist"] for r in dist.collect()}
     assert got == {3: 0, 4: 1, 5: 1}
+    assert dist.schema.simpleString() == "struct<v:bigint,dist:bigint>"
     # a source without edges sends nothing: Spark prunes the empty
     # aggregation, observer included, and that counts as zero rows
     dist, stats = bfs(adf, source=9)
@@ -138,19 +141,33 @@ def test_cc_partitioning_invariant(spark):
     assert got == {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 3}
 
 
-@pytest.fixture
-def bench_session(spark):
-    """The benchmark's settings: one shuffle partition, in which a plan
-    that reads a single partition would satisfy every later distribution,
-    and no adaptive execution, under which a checkpoint keeps its
-    partitioning."""
-    conf = {"spark.sql.shuffle.partitions": "1", "spark.sql.adaptive.enabled": "false"}
+def _with_conf(spark, conf):
     old = {k: spark.conf.get(k) for k in conf}
     for k, v in conf.items():
         spark.conf.set(k, v)
     yield
     for k, v in old.items():
         spark.conf.set(k, v)
+
+
+@pytest.fixture
+def bench_session(spark):
+    """The benchmark's settings: one shuffle partition, in which a plan
+    that reads a single partition would satisfy every later distribution,
+    and no adaptive execution, under which a checkpoint keeps its
+    partitioning."""
+    yield from _with_conf(
+        spark, {"spark.sql.shuffle.partitions": "1", "spark.sql.adaptive.enabled": "false"}
+    )
+
+
+@pytest.fixture
+def job_session(spark, monkeypatch):
+    """The settings ``jobs/_session.get_spark`` gives the jobs/ entrypoints."""
+    monkeypatch.syspath_prepend(str(JOBS))
+    from _session import SQL_CONF
+
+    yield from _with_conf(spark, SQL_CONF)
 
 
 def test_edge_table_hash_partitioned_on_src(adf_hep, bench_session):
@@ -161,10 +178,8 @@ def test_edge_table_hash_partitioned_on_src(adf_hep, bench_session):
     assert re.fullmatch(r"hashpartitioning\(src#\d+L?, 1\)", part.toString())
 
 
-@pytest.mark.parametrize("algo", ["pagerank", "cc", "bfs"])
-def test_superstep_keeps_both_sync_exchanges(adf_hep, bench_session, monkeypatch, algo):
-    """Each superstep shuffles the partial rows to (pid, dst) and then to
-    dst, the two replica-sync steps, and moves no edge."""
+def _superstep_plans(adf, algo, monkeypatch) -> list[str]:
+    """The executed plan of every superstep's replica-sync aggregate."""
     totals = []
     two_stage_agg = gasx_alg.two_stage_agg
 
@@ -175,32 +190,52 @@ def test_superstep_keeps_both_sync_exchanges(adf_hep, bench_session, monkeypatch
 
     monkeypatch.setattr(gasx_alg, "two_stage_agg", recording)
     run = {
-        "pagerank": lambda: pagerank(adf_hep, n_iter=2),
-        "cc": lambda: connected_components(adf_hep, max_iter=2),
-        "bfs": lambda: bfs(adf_hep, source=0),
+        "pagerank": lambda: pagerank(adf, n_iter=2),
+        "cc": lambda: connected_components(adf, max_iter=2),
+        "bfs": lambda: bfs(adf, source=0),
     }[algo]
     run()
     assert len(totals) >= 2
-    for total in totals:
-        plan = total._jdf.queryExecution().executedPlan().toString()
+    return [total._jdf.queryExecution().executedPlan().toString() for total in totals]
+
+
+@pytest.mark.parametrize("algo", ["pagerank", "cc", "bfs"])
+def test_superstep_keeps_both_sync_exchanges(adf_hep, bench_session, monkeypatch, algo):
+    """Each superstep shuffles the partial rows to (pid, dst) and then to
+    dst, the two replica-sync steps, and moves no edge."""
+    for plan in _superstep_plans(adf_hep, algo, monkeypatch):
         found = re.findall(r"Exchange hashpartitioning\((.*?), 1\)", plan)
         keys = [re.sub(r"#\d+L?", "", k) for k in found]
         assert keys == ["dst", "pid, dst"]  # the executed plan lists the later one first
 
 
-# Generated classes Spark may compile for one pass of the τ split (as
-# the benchmark set-up runs it), PageRank, CC and BFS: what its default
-# code cache holds. A pass in a fresh JVM compiled 91 classes; before
-# the shared edge table and the broadcast split it compiled 184, so
-# every warm call evicted and recompiled.
+@pytest.mark.parametrize("algo", ["pagerank", "cc", "bfs"])
+def test_job_superstep_shuffles_no_edges(adf_hep, job_session, monkeypatch, algo):
+    """Under the jobs' settings (16 shuffle partitions, no adaptive
+    execution) a superstep's plan holds the two sync exchanges and no
+    other: the checkpointed edge table keeps its partitioning, so the
+    vertex→replica ship moves no edge."""
+    for plan in _superstep_plans(adf_hep, algo, monkeypatch):
+        found = re.findall(r"\bExchange (\w+\([^)]*\))", plan)
+        keys = [re.sub(r"#\d+L?", "", k) for k in found]
+        assert keys == ["hashpartitioning(dst, 16)", "hashpartitioning(pid, dst, 16)"]
+
+
+# Generated classes Spark may compile for one pass of the τ split and
+# the assignment ingest (as the benchmark set-up runs them), PageRank,
+# CC and BFS: what its default code cache holds. A pass in a fresh JVM
+# compiled 89 classes; without the ingest, and with the high set still
+# classified in Spark, it compiled 91; before the shared edge table and
+# the broadcast split, 184, so every warm call evicted and recompiled.
 PASS_CLASS_BUDGET = 100
 
 
-def test_one_pass_compiles_within_budget(spark, el, adf_hep, bench_session):
+def test_one_pass_compiles_within_budget(spark, el, hep, adf_hep, bench_session):
     """An upper bound, so it holds whatever ran before in this JVM."""
     c0 = compiled_classes(spark)
     edges = to_spark(spark, el)
     split_edges(edges, high_vertices(degrees_df(edges), 10.0))[1].count()
+    assignment_to_spark(spark, hep).localCheckpoint()
     pagerank(adf_hep, n_iter=2)
     connected_components(adf_hep)
     bfs(adf_hep, source=0)

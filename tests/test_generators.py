@@ -4,7 +4,9 @@ import pytest
 
 from repro.graphs.generators import (
     GRAPH_NAMES,
+    LIFT_CHUNK,
     EdgeList,
+    arrays_to_spark,
     dense_communities,
     from_spark,
     graph,
@@ -125,11 +127,43 @@ def test_to_pandas_roundtrip():
 ], ids=["OK", "isolated-id"])
 def test_from_spark_inverts_to_spark(spark, el):
     """One Arrow transfer gives back the same edge array, row order
-    included, and n (the isolated id 3 lies below the largest id)."""
-    back = from_spark(to_spark(spark, el))
+    included, and n (the isolated id 3 lies below the largest id); the
+    frame has the nullable long columns a pandas-built one has."""
+    df = to_spark(spark, el)
+    assert df.schema == spark.createDataFrame(to_pandas(el)).schema
+    back = from_spark(df)
     assert back.n == el.n
     assert back.edges.dtype == np.uint32
     assert np.array_equal(back.edges, el.edges)
+
+
+@pytest.mark.parametrize("m", [0, 1, LIFT_CHUNK, LIFT_CHUNK + 1, 3 * LIFT_CHUNK - 7])
+def test_arrays_to_spark_round_trip(spark, m):
+    """Every row, in order, for sizes at and around the chunk, with ids
+    up to 2³² − 1; Spark's local relation holds one row per chunk, not
+    one per index."""
+    rng = np.random.default_rng(m)
+    a = rng.integers(0, 2**32, size=m, dtype=np.uint64).astype(np.uint32)
+    a[-1:] = 2**32 - 1
+    b = np.arange(m, dtype=np.int64)[::-1]  # a strided view
+    df = arrays_to_spark(spark, {"a": a, "b": b})
+    assert df.schema.simpleString() == "struct<a:bigint,b:bigint>"
+    assert all(f.nullable for f in df.schema)
+    back = df.toArrow()
+    assert np.array_equal(back.column("a").to_numpy(), a.astype(np.int64))
+    assert np.array_equal(back.column("b").to_numpy(), b)
+    leaves = df._jdf.queryExecution().optimizedPlan().collectLeaves()
+    assert leaves.size() == 1
+    leaf = leaves.apply(0)
+    assert leaf.getClass().getSimpleName() == "LocalRelation"
+    assert leaf.data().size() <= -(-m // LIFT_CHUNK)
+
+
+def test_arrays_to_spark_refuses_ragged_columns():
+    """Columns of different lengths are refused before Spark is asked
+    (the list offsets would otherwise drop a longer column's tail)."""
+    with pytest.raises(ValueError, match="differ in length"):
+        arrays_to_spark(None, {"a": np.arange(3), "b": np.arange(4)})
 
 
 def test_unknown_graph_raises():

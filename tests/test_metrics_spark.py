@@ -1,5 +1,6 @@
 """Quality metrics of PartitionResult: hand-computed values, and the
-per-partition sizes of a lifted assignment against the DuckDB oracle."""
+lifted assignment: its rows and schema, and its per-partition sizes
+against the DuckDB oracle."""
 import numpy as np
 import pytest
 
@@ -64,3 +65,13 @@ def test_sizes_oracle(spark, hep_result):
         "SELECT pid, count(*) AS count FROM a GROUP BY pid",
         a=_assignment_pdf(hep_result),
     )
+
+
+def test_assignment_round_trip(spark, hep_result):
+    """The lifted assignment is ``res.assignment`` row for row, in
+    order, as the nullable long columns a pandas-built frame had."""
+    adf = assignment_to_spark(spark, hep_result)
+    assert adf.schema == spark.createDataFrame(_assignment_pdf(hep_result)).schema
+    back = adf.toArrow()
+    got = np.column_stack([back.column(c).to_numpy() for c in ("src", "dst", "pid")])
+    assert np.array_equal(got, hep_result.assignment)
