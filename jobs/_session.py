@@ -19,11 +19,18 @@ SQL_CONF = {
     "spark.sql.adaptive.enabled": "false",
     "spark.sql.execution.arrow.pyspark.enabled": "true",
 }
+# Static: read once, when the session starts (a running session refuses
+# to change it). Spark's generated-class cache defaults to 100 entries
+# in four LRU segments; one Table 4 row's gasx runs overflow a segment,
+# so every later row recompiled its classes.
+STATIC_CONF = {
+    "spark.sql.codegen.cache.maxEntries": "1000",
+}
 
 
 def get_spark(app: str) -> SparkSession:
     builder = SparkSession.builder.appName(app)
-    for key, value in SQL_CONF.items():
+    for key, value in {**SQL_CONF, **STATIC_CONF}.items():
         builder = builder.config(key, value)
     s = builder.getOrCreate()
     s.sparkContext.setLogLevel("ERROR")

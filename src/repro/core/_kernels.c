@@ -9,51 +9,105 @@
  * allocate nothing.
  */
 #define _POSIX_C_SOURCE 199309L /* clock_gettime */
+#include <math.h> /* INFINITY */
 #include <stdint.h>
 #include <string.h>
 #include <time.h>
 
 enum { METHOD_HDRF = 0, METHOD_GREEDY = 1 };
 
+/* HDRF's balance term for partition p: λ·(max load − load)/denom, or
+ * -inf once p is closed, so a closed partition never holds the top score. */
+static void hdrf_balance(const int64_t *sizes, int64_t p, int64_t cap, int64_t mx,
+                         double lambda, double denom, double *bal) {
+    bal[p] = sizes[p] >= cap ? -INFINITY : (lambda * (double)(mx - sizes[p])) / denom;
+}
+
+/* stream_edges for HDRF. Every partition is scored for every edge
+ * (Θ(k) per edge, Table 1) in two passes over the k-length buffers
+ * score and bal: a score pass with no data-dependent branch (the
+ * replica bytes multiply the endpoint weights, and bal holds every
+ * balance term), then a tie pass for the first least-loaded partition
+ * with the top score; that pass branches, which measured faster than
+ * conditional moves at every k. A balance term changes only with its
+ * own load or with the max or min load, so after an edge only
+ * bal[best] is recomputed, unless the max or the min moved, which
+ * recomputes all k. Each term is the reference's expression, so every
+ * score matches core/streaming.py:stream_edges_py bit for bit. */
+static int stream_hdrf(const uint32_t *edges, int64_t m, uint8_t *replicas,
+                       int64_t *sizes, int64_t k, int64_t n, const int64_t *degrees,
+                       int64_t cap, double lambda, double eps, double *score,
+                       double *bal, int64_t *pids) {
+    int64_t mx = sizes[0], mn = sizes[0];
+    for (int64_t p = 1; p < k; p++) {
+        if (sizes[p] > mx) mx = sizes[p];
+        if (sizes[p] < mn) mn = sizes[p];
+    }
+    double denom = (eps + (double)mx) - (double)mn;
+    for (int64_t p = 0; p < k; p++) hdrf_balance(sizes, p, cap, mx, lambda, denom, bal);
+    for (int64_t e = 0; e < m; e++) {
+        const int64_t u = edges[2 * e], v = edges[2 * e + 1];
+        const double du = (double)degrees[u], dv = (double)degrees[v];
+        const double tot = du + dv;
+        const double theta = tot != 0.0 ? du / tot : 0.5;
+        const double wu = 2.0 - theta, wv = 1.0 + theta;
+        const uint8_t *ru = replicas + u, *rv = replicas + v;
+        double top = -INFINITY;
+        for (int64_t p = 0; p < k; p++) {
+            const double s = ((double)ru[p * n] * wu + (double)rv[p * n] * wv) + bal[p];
+            score[p] = s;
+            top = s > top ? s : top;
+        }
+        if (top == -INFINITY) return -1;
+        int64_t best = -1, best_size = INT64_MAX;
+        for (int64_t p = 0; p < k; p++) {
+            if (score[p] == top && sizes[p] < best_size) {
+                best = p;
+                best_size = sizes[p];
+            }
+        }
+        pids[e] = best;
+        replicas[best * n + u] = 1;
+        replicas[best * n + v] = 1;
+        const int64_t old = sizes[best]++;
+        int rescale = old == mx;
+        if (rescale) mx = old + 1;
+        if (old == mn) {
+            int64_t lo = sizes[0];
+            for (int64_t p = 1; p < k; p++) lo = sizes[p] < lo ? sizes[p] : lo;
+            rescale |= lo != mn;
+            mn = lo;
+        }
+        if (rescale) {
+            denom = (eps + (double)mx) - (double)mn;
+            for (int64_t p = 0; p < k; p++) hdrf_balance(sizes, p, cap, mx, lambda, denom, bal);
+        } else {
+            hdrf_balance(sizes, best, cap, mx, lambda, denom, bal);
+        }
+    }
+    return 0;
+}
+
 /* Stateful streaming (paper §3.3, Alg. 4) over m edges for the HDRF
  * and Greedy scorers (HDRF's λ and ε come from core/streaming.py, their
  * one definition). replicas is the C-contiguous (k, n) bool matrix
  * and sizes the k partition loads; both are updated in place. Partitions
  * with a load of cap or more are closed. Ties go to the least-loaded
- * partition, then to the lowest index. Writes one pid per edge to pids;
- * returns 0, or -1 if an edge found every partition closed (the caller
- * checks beforehand that the cap leaves room, so this does not happen). */
+ * partition, then to the lowest index. score and bal are k doubles of
+ * work space for HDRF. Writes one pid per edge to pids; returns 0, or
+ * -1 if an edge found every partition closed (the caller checks
+ * beforehand that the cap leaves room, so this does not happen). */
 int stream_edges(const uint32_t *edges, int64_t m, uint8_t *replicas,
                  int64_t *sizes, int64_t k, int64_t n, const int64_t *degrees,
                  int64_t cap, int method, double lambda, double eps,
-                 int64_t *pids) {
+                 double *score, double *bal, int64_t *pids) {
+    if (method == METHOD_HDRF)
+        return stream_hdrf(edges, m, replicas, sizes, k, n, degrees, cap, lambda, eps,
+                           score, bal, pids);
     for (int64_t e = 0; e < m; e++) {
         const int64_t u = edges[2 * e], v = edges[2 * e + 1];
         int64_t best = -1;
-        if (method == METHOD_HDRF) {
-            const double du = (double)degrees[u], dv = (double)degrees[v];
-            const double tot = du + dv;
-            const double theta = tot != 0.0 ? du / tot : 0.5;
-            const double wu = 2.0 - theta, wv = 1.0 + theta;
-            int64_t mx = sizes[0], mn = sizes[0];
-            for (int64_t p = 1; p < k; p++) {
-                if (sizes[p] > mx) mx = sizes[p];
-                if (sizes[p] < mn) mn = sizes[p];
-            }
-            const double denom = (eps + (double)mx) - (double)mn;
-            double best_score = 0.0;
-            for (int64_t p = 0; p < k; p++) {
-                if (sizes[p] >= cap) continue;
-                const double rep = (replicas[p * n + u] ? wu : 0.0)
-                                 + (replicas[p * n + v] ? wv : 0.0);
-                const double score = rep + (lambda * (double)(mx - sizes[p])) / denom;
-                if (best < 0 || score > best_score
-                    || (score == best_score && sizes[p] < sizes[best])) {
-                    best = p;
-                    best_score = score;
-                }
-            }
-        } else if (method == METHOD_GREEDY) {
+        if (method == METHOD_GREEDY) {
             /* rank = replicated endpoints: both > either > any open partition */
             int best_rank = -1;
             for (int64_t p = 0; p < k; p++) {

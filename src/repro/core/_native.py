@@ -48,7 +48,7 @@ def load() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(build()))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.stream_edges.argtypes = [ptr, i64, ptr, ptr, i64, i64, ptr, i64, ctypes.c_int, f64, f64,
-                                 ptr]
+                                 ptr, ptr, ptr]
     lib.stream_edges.restype = ctypes.c_int
     lib.csr_count.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     lib.csr_count.restype = i64

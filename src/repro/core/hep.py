@@ -43,15 +43,17 @@ def partition_hep(
     """Run full HEP (NE++ then informed HDRF streaming) at threshold ``tau``.
 
     ``csr`` is the pruned CSR for ``tau``, built here when not given; it
-    is consumed (NE++'s clean-up mutates it)."""
+    is consumed (NE++'s clean-up mutates it). Both phases use the
+    degrees the CSR was pruned by."""
     check_k(k)
     t0 = time.perf_counter()
     csr = csr if csr is not None else build_pruned_csr(el, tau=tau)
+    degrees = csr.degrees
     inmem = partition_nepp(el, k=k, csr=csr)
     h2h = csr.h2h
-    del csr  # phase 2 needs only E_h2h, not the column array
+    del csr  # phase 2 needs only E_h2h and the degrees, not the column array
     t_inmem_s = time.perf_counter() - t0
-    res = _stream_h2h(el, inmem, h2h, method="hdrf")
+    res = _stream_h2h(el, inmem, h2h, method="hdrf", degrees=degrees)
     res.stats.update(tau=tau, t_inmem_s=t_inmem_s)
     return res
 
@@ -60,13 +62,14 @@ def partition_simple_hybrid(el: EdgeList, *, k: int, tau: float) -> PartitionRes
     """NE on G_REST + random streaming on G_H2H at threshold ``tau``."""
     check_k(k)
     t0 = time.perf_counter()
-    is_h2h = h2h_mask(el, high_mask_np(el.degrees(), tau))
+    degrees = el.degrees()
+    is_h2h = h2h_mask(el, high_mask_np(degrees, tau))
     rest, h2h = el.edges[~is_h2h], el.edges[is_h2h]
     # NE runs on the rest-subgraph; vertex ids are shared with el so no
     # relabeling is needed (isolated ids simply never appear).
     inmem = partition_ne(EdgeList(edges=rest, n=el.n), k=k)
     t_inmem_s = time.perf_counter() - t0
-    res = _stream_h2h(el, inmem, h2h, method="random")
+    res = _stream_h2h(el, inmem, h2h, method="random", degrees=degrees)
     res.stats.update(tau=tau, t_inmem_s=t_inmem_s)
     return res
 
@@ -82,15 +85,17 @@ def partition_streaming(el: EdgeList, *, k: int, method: str = "hdrf") -> Partit
         n=el.n,
         replicas=np.zeros((k, el.n), dtype=bool),
     )
-    return _stream_h2h(el, empty, el.edges, method=method)
+    return _stream_h2h(el, empty, el.edges, method=method, degrees=el.degrees())
 
 
 def _stream_h2h(
-    el: EdgeList, inmem: PartitionResult, edges: np.ndarray, *, method: str
+    el: EdgeList, inmem: PartitionResult, edges: np.ndarray, *, method: str,
+    degrees: np.ndarray,
 ) -> PartitionResult:
     """Phase 2: stream ``edges`` into the state the in-memory phase left.
 
-    The scorer starts from ``inmem``'s replica sets and partition loads;
+    The scorer starts from ``inmem``'s replica sets and partition loads
+    and weighs endpoints by ``degrees``, ``el``'s vertex degrees;
     the balance cap ⌈α·|E|/k⌉ counts all of ``el``'s edges, which are
     ``inmem``'s plus ``edges``. Returns the in-memory assignment
     followed by the streamed edges.
@@ -102,7 +107,7 @@ def _stream_h2h(
         edges,
         replicas=replicas,
         sizes=sizes,
-        degrees=el.degrees(),
+        degrees=degrees,
         cap=int(np.ceil(ALPHA * el.m / k)),
         method=method,
     )

@@ -13,6 +13,11 @@ Degrees are the exact degrees computed at graph-building time (HEP has
 them from ingestion; §3.3). HDRF and Greedy run as one compiled C loop
 (``_kernels.c``), Θ(k) work per edge — the paper's Θ(|E|·k) streaming
 complexity (Table 1) and its single-threaded C++ design (Appendix A).
+HDRF's loop scores every partition without a data-dependent branch,
+adding the replica weights to a buffer of cached balance terms that it
+recomputes in full only when the max or min load moves; the score and
+balance buffers (k doubles each) are allocated here, so the C code
+allocates nothing.
 ``stream_edges_py`` is the same algorithm as a Python loop with numpy
 over the k partitions: the reference the C loop must match bit for bit,
 and the only implementation of random streaming, whose draws come from
@@ -60,9 +65,11 @@ def stream_edges(
     _check_room(sizes, len(edges), cap)
     k, n = replicas.shape
     pids = np.empty(len(edges), dtype=np.int64)
+    score, bal = np.empty((2, k), dtype=np.float64)  # HDRF's work buffers
     status = _native.LIB.stream_edges(
         edges.ctypes.data, len(edges), replicas.ctypes.data, sizes.ctypes.data, k, n,
-        degrees.ctypes.data, int(cap), _NATIVE_METHODS[method], _LAMBDA, _EPS, pids.ctypes.data,
+        degrees.ctypes.data, int(cap), _NATIVE_METHODS[method], _LAMBDA, _EPS,
+        score.ctypes.data, bal.ctypes.data, pids.ctypes.data,
     )
     if status != 0:
         raise RuntimeError("native streaming found every partition closed")

@@ -43,6 +43,9 @@ class CSR:
     high: np.ndarray  # (n,) bool — high-degree mask (all False when full)
     h2h: np.ndarray  # (m2, 2) uint32 — external high-high edges
     col_eid: np.ndarray | None = None  # parallel edge ids (full CSR only)
+    # (n,) vertex degrees the pruning classified by (pruned CSR only),
+    # kept so HEP's streaming phase weighs endpoints without a recount
+    degrees: np.ndarray | None = None
     # paging instrumentation: called with (byte_lo, byte_hi) on every
     # contiguous column-array access; None → zero overhead.
     touch: object = field(default=None, repr=False)
@@ -180,6 +183,10 @@ def build_pruned_csr(el: EdgeList, *, tau: float) -> CSR:
 
     Edges between two high-degree vertices go to the external ``h2h``
     array (the paper's external-memory edge file); an edge with exactly
-    one high endpoint survives only in the low endpoint's list.
+    one high endpoint survives only in the low endpoint's list. The
+    degrees the split was made by are kept as ``degrees``.
     """
-    return _fill_lists(el, high=high_mask_np(el.degrees(), tau), eid=False)
+    degrees = el.degrees()
+    csr = _fill_lists(el, high=high_mask_np(degrees, tau), eid=False)
+    csr.degrees = degrees
+    return csr

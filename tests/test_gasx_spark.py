@@ -223,15 +223,20 @@ def test_job_superstep_shuffles_no_edges(adf_hep, job_session, monkeypatch, algo
 
 # Generated classes Spark may compile for one pass of the τ split and
 # the assignment ingest (as the benchmark set-up runs them), PageRank,
-# CC and BFS: what its default code cache holds. A pass in a fresh JVM
-# compiled 89 classes; without the ingest, and with the high set still
-# classified in Spark, it compiled 91; before the shared edge table and
-# the broadcast split, 184, so every warm call evicted and recompiled.
+# CC and BFS. A pass in a fresh JVM compiled 89 classes; without the
+# ingest, and with the high set still classified in Spark, it compiled
+# 91; before the shared edge table and the broadcast split, 184, so
+# every warm call evicted and recompiled.
 PASS_CLASS_BUDGET = 100
 
 
 def test_one_pass_compiles_within_budget(spark, el, hep, adf_hep, bench_session):
-    """An upper bound, so it holds whatever ran before in this JVM."""
+    """One pass's working set of generated classes stays within 100,
+    Spark's default code-cache size (this session's and the benchmark's;
+    the jobs raise theirs to 1000). The default cache is four LRU
+    segments of 25, so a working set near 100 can still overflow one
+    segment; the bound guards the working set's size, not a miss-free
+    cache. An upper bound, so it holds whatever ran before in this JVM."""
     c0 = compiled_classes(spark)
     edges = to_spark(spark, el)
     split_edges(edges, high_vertices(degrees_df(edges), 10.0))[1].count()

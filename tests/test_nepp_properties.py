@@ -139,7 +139,8 @@ def test_hep_streaming_warm_start_used():
     rf_informed = partition_hep(el, k=k, tau=1.0).replication_factor()
     csr = build_pruned_csr(el, tau=1.0)
     inmem = partition_nepp(el, k=k, csr=csr)
-    rf_random = _stream_h2h(el, inmem, csr.h2h, method="random").replication_factor()
+    rf_random = _stream_h2h(el, inmem, csr.h2h, method="random",
+                            degrees=csr.degrees).replication_factor()
     assert rf_informed <= rf_random
 
 

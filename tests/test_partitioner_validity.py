@@ -105,6 +105,19 @@ def test_nepp_plus_h2h_cover_everything(tau, k):
     assert res.assignment.shape[0] + len(csr.h2h) == el.m
 
 
+@pytest.mark.parametrize("tau", [100.0, 1.0, 0.0])
+def test_hep_counts_degrees_once(tau, monkeypatch):
+    """HEP computes the vertex degrees once: the pruned CSR keeps the
+    array its split was made by, and the streaming phase weighs
+    endpoints by that same array."""
+    el = tiny_graph("OK")
+    calls = []
+    degrees = EdgeList.degrees
+    monkeypatch.setattr(EdgeList, "degrees", lambda self: calls.append(1) or degrees(self))
+    partition_hep(el, k=8, tau=tau)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("pname", sorted(PARTITIONERS) + ["dbh"])
 def test_k1_single_partition(pname):
     el = tiny_graph("LJ")

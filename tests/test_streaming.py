@@ -138,28 +138,9 @@ def test_hdrf_baseline_is_hep_at_tau_zero(name, k):
     assert np.array_equal(hep.assignment, partition_streaming(el, k=k, method="hdrf").assignment)
 
 
-@pytest.mark.parametrize("method", ["hdrf", "greedy"])
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_native_matches_python_oracle(method, data):
+def _assert_native_matches_python(edges, replicas, sizes, degrees, cap, method):
     """The C kernel and the Python loop give the same pids and leave the
-    same replica sets and loads, from a random warm state: replicas,
-    loads (sometimes all equal, where ties decide) and a cap that leaves
-    room, down to the tight α = 1 cap."""
-    n = data.draw(st.integers(1, 24), label="n")
-    k = data.draw(st.integers(1, 8), label="k")
-    ids = st.integers(0, n - 1)
-    edges = np.array(data.draw(st.lists(st.tuples(ids, ids), max_size=60), label="edges"),
-                     dtype=np.uint32).reshape(-1, 2)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    replicas = rng.random((k, n)) < data.draw(st.sampled_from([0.0, 0.2, 0.6]), label="density")
-    if data.draw(st.booleans(), label="level loads"):
-        sizes = np.full(k, data.draw(st.integers(0, 5), label="load"), dtype=np.int64)
-    else:
-        sizes = rng.integers(0, 12, size=k).astype(np.int64)
-    degrees = rng.integers(0, 10, size=n)
-    tight = -(-(int(sizes.sum()) + len(edges)) // k)  # ⌈(Σ loads + m) / k⌉
-    cap = tight + data.draw(st.sampled_from([0, 1, 5]), label="slack")
+    same replica sets and loads when run from copies of one state."""
     state = {}
     for name, fn in (("native", stream_edges), ("python", stream_edges_py)):
         r, s = replicas.copy(), sizes.copy()
@@ -167,6 +148,67 @@ def test_native_matches_python_oracle(method, data):
         state[name] = (pids, r, s)
     for a, b in zip(state["native"], state["python"]):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("method", ["hdrf", "greedy"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_native_matches_python_oracle(method, data):
+    """From a random warm state — replicas, loads (sometimes all equal,
+    where ties decide) and a cap that leaves room, down to the tight
+    α = 1 cap — the C kernel matches the Python loop. Up to 70
+    partitions and a few hundred edges, so the max and min loads move
+    many times and partitions close mid-stream, each of which makes the
+    C loop recompute its cached balance terms."""
+    n = data.draw(st.integers(1, 40), label="n")
+    k = data.draw(st.integers(1, 70), label="k")
+    m = data.draw(st.integers(0, 400), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    edges = rng.integers(0, n, size=(m, 2)).astype(np.uint32)
+    replicas = rng.random((k, n)) < data.draw(st.sampled_from([0.0, 0.2, 0.6]), label="density")
+    if data.draw(st.booleans(), label="level loads"):
+        sizes = np.full(k, data.draw(st.integers(0, 5), label="load"), dtype=np.int64)
+    else:
+        sizes = rng.integers(0, data.draw(st.sampled_from([2, 12, 40]), label="spread"),
+                            size=k).astype(np.int64)
+    degrees = rng.integers(0, 10, size=n)
+    tight = -(-(int(sizes.sum()) + m) // k)  # ⌈(Σ loads + m) / k⌉
+    cap = tight + data.draw(st.sampled_from([0, 1, 5]), label="slack")
+    _assert_native_matches_python(edges, replicas, sizes, degrees, cap, method)
+
+
+def _pinned_stream(case: str):
+    """(edges, replicas, sizes, degrees, cap) of a hand-set stream."""
+    rng = np.random.default_rng(3)
+    n = 12
+    degrees = rng.integers(1, 10, size=n)
+    if case == "min-load partition reaches the cap":
+        # the loads climb to the cap from the least-loaded partition up:
+        # partition 1 leaves the min, then partition 1 and 2 close at it
+        k, sizes, cap, m = 3, [5, 3, 4], 5, 3
+    elif case == "level loads":
+        k, sizes, cap, m = 5, [7] * 5, 7 + 60, 300
+    else:  # "k = 1": every edge moves the max and the min
+        k, sizes, cap, m = 1, [4], 4 + 200, 200
+    edges = rng.integers(0, n, size=(m, 2)).astype(np.uint32)
+    replicas = rng.random((k, n)) < 0.3
+    return edges, replicas, np.array(sizes, dtype=np.int64), degrees, cap
+
+
+@pytest.mark.parametrize("method", ["hdrf", "greedy"])
+@pytest.mark.parametrize("case", ["min-load partition reaches the cap", "level loads", "k = 1"])
+def test_native_matches_python_pinned(case, method):
+    """The C kernel matches the Python loop on the streams where the
+    cached HDRF balance terms are recomputed most: the partition at the
+    min load filling up to the cap, all loads level at the start, and a
+    single partition."""
+    edges, replicas, sizes, degrees, cap = _pinned_stream(case)
+    _assert_native_matches_python(edges, replicas, sizes, degrees, cap, method)
+    if case == "min-load partition reaches the cap":
+        s = sizes.copy()
+        stream_edges(edges, replicas=replicas.copy(), sizes=s, degrees=degrees, cap=cap,
+                     method=method)
+        assert s.tolist() == [5, 5, 5]
 
 
 def test_edge_id_out_of_range_raises():
