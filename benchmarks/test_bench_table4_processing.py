@@ -5,18 +5,24 @@ each of HEP-100/10/1, NE, SNE, HDRF, DBH — partitioning time, RF, and
 PageRank/BFS/CC cost on the gasx engine (wall time + replica-sync
 rows). EXPERIMENTS.md diffs the shape against the paper's Table 4.
 """
+import pathlib
+
 from repro.harness import print_rows, run_table4
 
 from ._scales import K, T4_SCALE
 
+JOBS = pathlib.Path(__file__).resolve().parents[1] / "jobs"
 
-def test_bench_table4(spark, benchmark):
-    # as jobs/_session.get_spark sets them: with adaptive execution on, a
-    # checkpoint keeps no partitioning and every superstep re-shuffles
-    # the edge table
-    conf = {"spark.sql.shuffle.partitions": "16", "spark.sql.adaptive.enabled": "false"}
-    old = {key: spark.conf.get(key) for key in conf}
-    for key, value in conf.items():
+
+def test_bench_table4(spark, benchmark, monkeypatch):
+    # the settings jobs/_session.get_spark gives the jobs: with adaptive
+    # execution on, a checkpoint keeps no partitioning and every
+    # superstep re-shuffles the edge table
+    monkeypatch.syspath_prepend(str(JOBS))
+    from _session import SQL_CONF
+
+    old = {key: spark.conf.get(key) for key in SQL_CONF}
+    for key, value in SQL_CONF.items():
         spark.conf.set(key, value)
     try:
         rows = benchmark.pedantic(

@@ -186,14 +186,10 @@ int csr_fill(const uint32_t *edges, int64_t m, int64_t n, const uint8_t *high,
 
 /* ---- NE++ (paper §3.2, Alg. 1-3; reference core/nepp.py:partition_nepp_py) ---- */
 
-enum { NEPP_OK = 0, NEPP_ROWS_FULL = -1, NEPP_FLUSH_FAILED = -2 };
+enum { NEPP_OK = 0, NEPP_ROWS_FULL = -1, NEPP_TRACE_FULL = -2 };
 enum { NEPP_ASSIGNED, NEPP_CLEANED, NEPP_COL_READS, NEPP_COL_READ_BYTES, NEPP_SEED_PROBES,
        NEPP_COUNTERS };
 enum { NEPP_EXPANSION_S, NEPP_CLEANUP_S, NEPP_SWEEP_S };
-
-/* Hands the first count (byte_lo, byte_hi) pairs of the trace buffer to
- * the caller's touch hook; nonzero stops the run. */
-typedef int (*trace_flush)(int64_t count);
 
 typedef struct {
     int64_t n, k, cap, m_rows;
@@ -211,7 +207,6 @@ typedef struct {
     int64_t heap_len, s_len, assigned;
     int64_t *trace;              /* (trace_cap, 2) read buffer, or NULL */
     int64_t trace_cap, trace_len;
-    trace_flush flush;
     int64_t counters[NEPP_COUNTERS];
     int status;
 } nepp_t;
@@ -224,23 +219,20 @@ static double thread_cpu_s(void) {
 
 /* A column read of the list [start, start + size): counted and, when a
  * trace buffer is given, recorded as the byte range the CSR's touch
- * hook would see. Empty lists are not reads. */
+ * hook would see. A read past a full buffer stops the run and is not
+ * recorded. Empty lists are not reads. */
 static const uint32_t *read_list(nepp_t *s, int64_t start, int64_t size) {
     if (size > 0) {
         s->counters[NEPP_COL_READS]++;
         s->counters[NEPP_COL_READ_BYTES] += size * (int64_t)sizeof(uint32_t);
         if (s->trace) {
-            if (s->trace_len == s->trace_cap) {
-                if (s->flush(s->trace_len) != 0) {
-                    s->status = NEPP_FLUSH_FAILED;
-                    s->trace = NULL;
-                    return s->col + start;
-                }
-                s->trace_len = 0;
+            if (s->trace_len < s->trace_cap) {
+                s->trace[2 * s->trace_len] = start * (int64_t)sizeof(uint32_t);
+                s->trace[2 * s->trace_len + 1] = (start + size) * (int64_t)sizeof(uint32_t);
+                s->trace_len++;
+            } else {
+                s->status = NEPP_TRACE_FULL;
             }
-            s->trace[2 * s->trace_len] = start * (int64_t)sizeof(uint32_t);
-            s->trace[2 * s->trace_len + 1] = (start + size) * (int64_t)sizeof(uint32_t);
-            s->trace_len++;
         }
     }
     return s->col + start;
@@ -432,9 +424,9 @@ static void expand(nepp_t *s, int64_t i, int64_t *seed, double *phases) {
  * col and every id is < n; clean-up compacts col and shrinks the sizes.
  * assignment, replicas (k, n) and sizes (k,) receive the result; core,
  * in_s, d_ext, heap, heap_pos and s_list are (n,) working arrays, core
- * zeroed. When trace is not NULL, every column read is recorded in it
- * as a (byte_lo, byte_hi) pair and flush is called whenever it holds
- * trace_cap pairs, and once at the end. counters receives the rows
+ * zeroed. When trace is not NULL, every column read is recorded in it,
+ * in order, as a (byte_lo, byte_hi) pair; a read past its trace_cap
+ * pairs stops the run with NEPP_TRACE_FULL. counters receives the rows
  * assigned, the entries clean-up removed, the column reads, their bytes
  * and the seed-cursor probes; phases receives the thread-CPU seconds of
  * expansion, clean-up and the last sweep. Returns NEPP_OK or an error
@@ -443,15 +435,15 @@ int nepp(int64_t n, const int64_t *out_start, int64_t *out_size, const int64_t *
          int64_t *in_size, uint32_t *col, const uint8_t *high, int64_t k, int64_t cap,
          int64_t m_rows, int64_t *assignment, uint8_t *replicas, int64_t *sizes,
          uint8_t *core, uint8_t *in_s, int64_t *d_ext, int64_t *heap, int64_t *heap_pos,
-         int64_t *s_list, int64_t *trace, int64_t trace_cap, trace_flush flush,
-         int64_t *counters, double *phases) {
+         int64_t *s_list, int64_t *trace, int64_t trace_cap, int64_t *counters,
+         double *phases) {
     nepp_t s = {
         .n = n, .k = k, .cap = cap, .m_rows = m_rows,
         .out_start = out_start, .in_start = in_start, .out_size = out_size, .in_size = in_size,
         .col = col, .high = high, .assignment = assignment, .replicas = replicas,
         .sizes = sizes, .core = core, .in_s = in_s, .d_ext = d_ext, .heap = heap,
         .pos = heap_pos, .s_list = s_list, .trace = trace_cap > 0 ? trace : NULL,
-        .trace_cap = trace_cap, .flush = flush, .status = NEPP_OK,
+        .trace_cap = trace_cap, .status = NEPP_OK,
     };
     int64_t seed = 0;
     for (int64_t i = 0; i < k - 1 && s.assigned < m_rows && s.status == NEPP_OK; i++)
@@ -473,7 +465,6 @@ int nepp(int64_t n, const int64_t *out_start, int64_t *out_size, const int64_t *
         if (s.status == NEPP_OK) spill(&s, k - 1, end);
     }
     phases[NEPP_SWEEP_S] += thread_cpu_s() - t0;
-    if (s.trace && s.trace_len > 0 && flush(s.trace_len) != 0) s.status = NEPP_FLUSH_FAILED;
     s.counters[NEPP_ASSIGNED] = s.assigned;
     memcpy(counters, s.counters, sizeof s.counters);
     return s.status;

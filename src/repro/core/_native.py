@@ -20,8 +20,6 @@ from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
-# nepp's trace callback: hands over the first ``count`` buffered reads
-TRACE_FLUSH = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64)
 
 
 def build() -> Path:
@@ -55,7 +53,7 @@ def load() -> ctypes.CDLL:
     lib.csr_fill.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64]
     lib.csr_fill.restype = ctypes.c_int
     lib.nepp.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
-                         ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, TRACE_FLUSH, ptr, ptr]
+                         ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr]
     lib.nepp.restype = ctypes.c_int
     return lib
 

@@ -36,6 +36,7 @@ assignment, replica sets, clean-up and column-read trace.
 from __future__ import annotations
 
 import heapq
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,8 +44,6 @@ from ..graphs.csr import CSR
 from ..graphs.generators import EdgeList
 from . import _native
 from .common import PartitionResult, check_k
-
-TRACE_PAIRS = 4096  # column reads buffered between calls of a touch hook
 
 
 def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
@@ -54,49 +53,41 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
     in-memory edges ``E \\ E_h2h``; the external ``E_h2h`` edges stay in
     ``csr.h2h`` for the streaming phase (:mod:`.hep`). ``csr`` is the
     pruned CSR of ``el`` (:func:`~repro.graphs.csr.build_pruned_csr`),
-    whose ``high`` mask carries the τ classification; it may carry a
-    paging ``touch`` hook, and it is consumed (mutated by clean-up).
+    whose ``high`` mask carries the τ classification; it is consumed
+    (mutated by clean-up).
+
+    With a paging ``touch`` hook on ``csr``, an untraced run on copies
+    of the arrays the loop mutates counts the column reads; the run on
+    ``csr`` records them into an array of that many (byte_lo, byte_hi)
+    pairs, replayed into ``touch`` in read order after the run.
 
     Besides the counts :func:`partition_nepp_py` reports (clean-up,
     seed probes, ...), ``stats`` holds ``col_reads`` and
     ``col_read_bytes``, the reads and bytes a ``touch`` hook sees, and
     ``phases``, the thread-CPU seconds of expansion, clean-up and the
-    last sweep (a ``touch`` hook's own time included).
+    last sweep (a ``touch`` hook's time is not in them).
     """
     check_k(k)
     m_inmem = el.m - len(csr.h2h)
     _check_csr(csr, m_inmem)
-    n = csr.n
     cap = max(1, -(-m_inmem // k))  # ⌈|E \ E_h2h| / k⌉
     initial_entries = csr.col_entries  # before clean-up shrinks lists
-    assignment = np.empty((m_inmem, 3), dtype=np.int64)
-    replicas = np.zeros((k, n), dtype=bool)
-    sizes = np.zeros(k, dtype=np.int64)
-    core = np.zeros(n, dtype=bool)
-    in_s = np.empty(n, dtype=bool)  # cleared at the start of each partition
-    d_ext, heap, heap_pos, s_list = np.empty((4, n), dtype=np.int64)
-    counters = np.zeros(5, dtype=np.int64)
-    phases = np.zeros(3)
-    trace, flush, failures = _trace_buffer(csr.touch)
-    status = _native.LIB.nepp(
-        n, csr.out_start.ctypes.data, csr.out_size.ctypes.data, csr.in_start.ctypes.data,
-        csr.in_size.ctypes.data, csr.col.ctypes.data, csr.high.ctypes.data, k, cap, m_inmem,
-        assignment.ctypes.data, replicas.ctypes.data, sizes.ctypes.data, core.ctypes.data,
-        in_s.ctypes.data, d_ext.ctypes.data, heap.ctypes.data, heap_pos.ctypes.data,
-        s_list.ctypes.data, None if trace is None else trace.ctypes.data,
-        0 if trace is None else len(trace), flush, counters.ctypes.data, phases.ctypes.data,
-    )
-    if failures:
-        raise failures[0]
-    if status != 0:
-        raise ValueError(f"partition_nepp: csr holds more in-memory edges than "
-                         f"el.m - len(csr.h2h) = {m_inmem}")
+    trace = np.empty((0, 2), dtype=np.int64)  # no hook: no reads recorded
+    if csr.touch is not None:
+        dry = replace(csr, out_size=csr.out_size.copy(), in_size=csr.in_size.copy(),
+                      col=csr.col.copy(), touch=None)
+        _, _, counters, _ = _run(dry, k, cap, m_inmem, trace)
+        trace = np.empty((counters[2], 2), dtype=np.int64)  # a row per column read
+    assignment, replicas, counters, phases = _run(csr, k, cap, m_inmem, trace)
+    touch = csr.touch
+    for lo, hi in zip(trace[:, 0].tolist(), trace[:, 1].tolist()):
+        touch(lo, hi)
     assigned, cleaned, reads, read_bytes, probes = counters.tolist()
     expansion_s, cleanup_s, sweep_s = phases.tolist()
     return PartitionResult(
         assignment=assignment[:assigned],
         k=k,
-        n=n,
+        n=csr.n,
         replicas=replicas,
         stats={
             "m_inmem": m_inmem,
@@ -111,6 +102,36 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
                        "sweep_s": sweep_s},
         },
     )
+
+
+def _run(csr: CSR, k: int, cap: int, m_inmem: int, trace: np.ndarray):
+    """One call of the C loop over ``csr``, recording its column reads
+    into the ``(reads, 2)`` int64 ``trace``: (assignment, replicas,
+    counters, phases). A status other than NEPP_OK is raised."""
+    n = csr.n
+    assignment = np.empty((m_inmem, 3), dtype=np.int64)
+    replicas = np.zeros((k, n), dtype=bool)
+    sizes = np.zeros(k, dtype=np.int64)
+    core = np.zeros(n, dtype=bool)
+    in_s = np.empty(n, dtype=bool)  # cleared at the start of each partition
+    d_ext, heap, heap_pos, s_list = np.empty((4, n), dtype=np.int64)
+    counters = np.zeros(5, dtype=np.int64)
+    phases = np.zeros(3)
+    status = _native.LIB.nepp(
+        n, csr.out_start.ctypes.data, csr.out_size.ctypes.data, csr.in_start.ctypes.data,
+        csr.in_size.ctypes.data, csr.col.ctypes.data, csr.high.ctypes.data, k, cap, m_inmem,
+        assignment.ctypes.data, replicas.ctypes.data, sizes.ctypes.data, core.ctypes.data,
+        in_s.ctypes.data, d_ext.ctypes.data, heap.ctypes.data, heap_pos.ctypes.data,
+        s_list.ctypes.data, trace.ctypes.data, len(trace), counters.ctypes.data,
+        phases.ctypes.data,
+    )
+    if status == -2:  # NEPP_TRACE_FULL
+        raise RuntimeError(f"partition_nepp: the trace buffer of {len(trace)} reads is full; "
+                           f"the traced run read more column lists than its untraced copy")
+    if status != 0:  # NEPP_ROWS_FULL
+        raise ValueError(f"partition_nepp: csr holds more in-memory edges than "
+                         f"el.m - len(csr.h2h) = {m_inmem}")
+    return assignment, replicas, counters, phases
 
 
 def _check_csr(csr: CSR, m_inmem: int) -> None:
@@ -145,27 +166,6 @@ def _check_csr(csr: CSR, m_inmem: int) -> None:
         require(((start >= 0) & (size >= 0) & (size <= len(col) - start)).all(),
                 f"csr.{side}_start + csr.{side}_size must lie within len(csr.col)={len(col)}")
     require(len(col) == 0 or int(col.max()) < n, f"csr.col ids must be < n={n}")
-
-
-def _trace_buffer(touch):
-    """The read buffer, flush callback and failure list through which
-    the C loop hands its column reads to ``touch``, in order; without a
-    hook, no buffer and a null callback."""
-    if touch is None:
-        return None, _native.TRACE_FLUSH(), []
-    buf = np.empty((TRACE_PAIRS, 2), dtype=np.int64)
-    failures: list[BaseException] = []
-
-    def flush(count: int) -> int:
-        try:
-            for lo, hi in buf[:count].tolist():
-                touch(lo, hi)
-        except BaseException as e:  # re-raised once the C loop has returned
-            failures.append(e)
-            return 1
-        return 0
-
-    return buf, _native.TRACE_FLUSH(flush), failures
 
 
 def partition_nepp_py(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:

@@ -46,8 +46,10 @@ class CSR:
     # (n,) vertex degrees the pruning classified by (pruned CSR only),
     # kept so HEP's streaming phase weighs endpoints without a recount
     degrees: np.ndarray | None = None
-    # paging instrumentation: called with (byte_lo, byte_hi) on every
-    # contiguous column-array access; None → zero overhead.
+    # paging instrumentation: called with (byte_lo, byte_hi) for every
+    # non-empty list read, in read order; the accessors below call it as
+    # they read, partition_nepp replays its C loop's reads after the run.
+    # None → no tracing.
     touch: object = field(default=None, repr=False)
 
     def degree(self, v: int) -> int:

@@ -223,8 +223,8 @@ def dense_communities(
 
 
 # --- Named analog corpus (Table 3) -------------------------------------
-# ``scale`` multiplies the target edge count; 1.0 is bench scale,
-# tests use ~0.02-0.1. Entries mirror Table 3's ordering & types.
+# ``scale`` multiplies the target edge count and the id space; 1.0 is
+# bench scale, tests use ~0.02-0.1. Entries mirror Table 3's ordering & types.
 
 _SPECS = {
     # name: (kind, params at scale=1.0, type label)
@@ -267,19 +267,16 @@ def graph(name: str, *, scale: float = 1.0) -> EdgeList:
     kind, params, _ = _SPECS[name]
     p = dict(params)
     p["n_edges"] = max(16, int(p["n_edges"] * scale))
+    # the id space scales with the edge count, so the mean degree stays about level
     if kind == "rmat":
-        # shrink the id space with the edge count to keep density
-        if scale < 1.0:
-            p["scale"] = max(8, p["scale"] + int(np.floor(np.log2(max(scale, 1e-6)))))
+        p["scale"] = max(8, p["scale"] + int(np.floor(np.log2(max(scale, 1e-6)))))
         return rmat(**p)
     if kind == "web":
-        if scale < 1.0:
-            p["n_hosts"] = max(16, int(p["n_hosts"] * scale))
+        p["n_hosts"] = max(16, int(p["n_hosts"] * scale))
         return web_locality(**p)
     if kind == "dense":
-        if scale < 1.0:
-            p["n"] = max(64, int(p["n"] * scale))
-            p["n_comms"] = max(4, int(p["n_comms"] * scale))
+        p["n"] = max(64, int(p["n"] * scale))
+        p["n_comms"] = max(4, int(p["n_comms"] * scale))
         return dense_communities(**p)
     raise ValueError(f"unknown graph kind {kind!r}")
 

@@ -1,2 +1,2 @@
 """τ pre-computation: HEP's degree pass over a Spark edge table (Table 2, §4.4)."""
-from .precompute import footprint_sweep, max_tau_within  # noqa: F401
+from .precompute import footprint_sweep  # noqa: F401

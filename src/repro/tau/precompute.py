@@ -38,10 +38,3 @@ def footprint_sweep(
     deg = el.degrees()
     return [(tau, hep_footprint_bytes(deg, tau=tau, k=k)) for tau in taus]
 
-
-def max_tau_within(
-    edges: DataFrame, *, taus: list[float], k: int, budget_bytes: int
-) -> float | None:
-    """Largest candidate τ whose modeled footprint fits the budget."""
-    fits = [t for t, b in footprint_sweep(edges, taus=taus, k=k) if b <= budget_bytes]
-    return max(fits) if fits else None

@@ -1,4 +1,6 @@
 """Unit tests for the synthetic graph corpus (Table 3 substrate)."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,26 @@ class TestCorpusInvariants:
         small = graph(name, scale=0.01)
         large = graph(name, scale=0.04)
         assert large.m > small.m
+
+
+# SHA-256 of ``graph(name).edges.tobytes()`` (uint32, C order), one graph
+# per generator kind at bench scale
+SCALE_1_DIGESTS = {
+    "OK": "c367cc5198911ac97c677200f341b236281d11d604464e4ea8d94833f3b061ed",
+    "IT": "1c78407105815d46c7a95bc63a40aa1bff62c429c214277db2f798c5558b969d",
+    "BR": "d482274eb50bfad85359575a97e3dd7620af079496e362bff93dc1895cc8c12f",
+}
+
+
+@pytest.mark.parametrize("name", SCALE_1_DIGESTS)
+def test_scale_above_one_grows_id_space(name):
+    """Bench scale keeps its edges, and ×2 doubles the id space with the
+    edge count, so the mean degree stays level."""
+    base = graph(name)
+    assert hashlib.sha256(base.edges.tobytes()).hexdigest() == SCALE_1_DIGESTS[name]
+    big = graph(name, scale=2.0)
+    assert 1.8 <= big.n / base.n <= 2.2
+    assert 1.8 <= big.m / base.m <= 2.2
 
 
 @pytest.mark.parametrize("name", [g for g in TEST_GRAPHS if g != "BR"])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import nepp as nepp_mod
 from repro.core.nepp import partition_nepp, partition_nepp_py
 from repro.graphs import csr as csr_mod
 from repro.graphs.csr import build_csr, build_pruned_csr
@@ -89,7 +90,8 @@ def test_nepp_stats_report_work_and_phases():
 
 
 def test_touch_hook_failure_propagates():
-    """An exception in the touch hook ends the run and reaches the caller."""
+    """An exception in the touch hook, raised while the recorded reads
+    are replayed after the run, reaches the caller."""
     el = tiny_graph("OK")
     csr = build_pruned_csr(el, tau=100.0)
 
@@ -99,6 +101,22 @@ def test_touch_hook_failure_propagates():
     csr.touch = touch
     with pytest.raises(RuntimeError, match="page fault handler failed"):
         partition_nepp(el, k=4, csr=csr)
+
+
+def test_trace_buffer_one_pair_short_stops_the_run():
+    """Given a trace buffer one pair shorter than the run's reads, the C
+    loop stops with NEPP_TRACE_FULL, which partition_nepp raises as a
+    full trace buffer, and writes nothing past the buffer."""
+    el = tiny_graph("OK")
+    csr = build_pruned_csr(el, tau=100.0)
+    k, m_inmem = 4, el.m - len(csr.h2h)
+    reads = partition_nepp(el, k=k, csr=build_pruned_csr(el, tau=100.0)).stats["col_reads"]
+    buf = np.full((reads + 3, 2), -7, dtype=np.int64)  # rows from reads - 1 on are canaries
+    with pytest.raises(RuntimeError, match=f"^partition_nepp: the trace buffer of "
+                                           f"{reads - 1} reads is full"):
+        nepp_mod._run(csr, k, -(-m_inmem // k), m_inmem, buf[:reads - 1])
+    assert (buf[:reads - 1] >= 0).all()
+    assert (buf[reads - 1:] == -7).all()
 
 
 def _bad_csr(fault):

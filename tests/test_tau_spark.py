@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.memory_model import hep_footprint_bytes
 from repro.graphs.generators import EdgeList, to_spark
-from repro.tau.precompute import footprint_sweep, max_tau_within
+from repro.tau.precompute import footprint_sweep
 
 from .conftest import tiny_graph
 
@@ -34,28 +34,6 @@ def test_sweep_monotone(spark):
     got = footprint_sweep(to_spark(spark, el), taus=TAUS, k=32)
     sizes = [b for _, b in got]
     assert sizes == sorted(sizes)
-
-
-def test_max_tau_within_budget(spark):
-    el = tiny_graph("OK")
-    edges = to_spark(spark, el)
-    sweep = footprint_sweep(edges, taus=TAUS, k=32)
-    mid = sweep[len(sweep) // 2][1]
-    best = max_tau_within(edges, taus=TAUS, k=32, budget_bytes=mid)
-    assert best is not None
-    assert dict(sweep)[best] <= mid
-    # and it is maximal among candidates that fit
-    for t, b in sweep:
-        if b <= mid:
-            assert t <= best
-
-
-def test_max_tau_none_when_budget_tiny(spark):
-    el = tiny_graph("OK")
-    assert (
-        max_tau_within(to_spark(spark, el), taus=TAUS, k=32, budget_bytes=16)
-        is None
-    )
 
 
 def test_sweep_rejects_empty_edges(spark):
