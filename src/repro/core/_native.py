@@ -48,12 +48,14 @@ def load() -> ctypes.CDLL:
     lib.stream_edges.argtypes = [ptr, i64, ptr, ptr, i64, i64, ptr, i64, ctypes.c_int, f64, f64,
                                  ptr, ptr, ptr]
     lib.stream_edges.restype = ctypes.c_int
-    lib.csr_count.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
+    lib.edge_degrees.argtypes = [ptr, i64, i64, ptr]
+    lib.edge_degrees.restype = ctypes.c_int
+    lib.csr_count.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr]
     lib.csr_count.restype = i64
-    lib.csr_fill.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64]
+    lib.csr_fill.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64]
     lib.csr_fill.restype = ctypes.c_int
     lib.nepp.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
-                         ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr]
+                         ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr]
     lib.nepp.restype = ctypes.c_int
     return lib
 

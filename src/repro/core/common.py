@@ -20,7 +20,10 @@ class PartitionResult:
     partitioners and both hybrids return their stream state in it. DBH
     and SNE leave it ``None``. The quality metrics below recompute
     coverage from ``assignment`` so the two can be cross-checked in
-    tests.
+    tests. ``loads`` is the ``(k,)`` int64 edge count per partition that
+    NE++ kept as it assigned, which HEP's streaming phase starts from;
+    the other partitioners leave it ``None``. ``sizes`` recounts it from
+    ``assignment``.
     """
 
     assignment: np.ndarray
@@ -28,6 +31,7 @@ class PartitionResult:
     n: int
     replicas: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
+    loads: np.ndarray | None = None
 
     @property
     def sizes(self) -> np.ndarray:

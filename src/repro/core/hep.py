@@ -44,16 +44,18 @@ def partition_hep(
 
     ``csr`` is the pruned CSR for ``tau``, built here when not given; it
     is consumed (NE++'s clean-up mutates it). Both phases use the
-    degrees the CSR was pruned by."""
+    degrees the CSR was pruned by, and write one assignment array: NE++
+    its first rows, phase 2 the rest."""
     check_k(k)
     t0 = time.perf_counter()
     csr = csr if csr is not None else build_pruned_csr(el, tau=tau)
     degrees = csr.degrees
-    inmem = partition_nepp(el, k=k, csr=csr)
+    assignment = np.empty((el.m, 3), dtype=np.int64)
+    inmem = partition_nepp(el, k=k, csr=csr, out=assignment)
     h2h = csr.h2h
     del csr  # phase 2 needs only E_h2h and the degrees, not the column array
     t_inmem_s = time.perf_counter() - t0
-    res = _stream_h2h(el, inmem, h2h, method="hdrf", degrees=degrees)
+    res = _stream_h2h(el, inmem, h2h, method="hdrf", degrees=degrees, out=assignment)
     res.stats.update(tau=tau, t_inmem_s=t_inmem_s)
     return res
 
@@ -90,19 +92,22 @@ def partition_streaming(el: EdgeList, *, k: int, method: str = "hdrf") -> Partit
 
 def _stream_h2h(
     el: EdgeList, inmem: PartitionResult, edges: np.ndarray, *, method: str,
-    degrees: np.ndarray,
+    degrees: np.ndarray, out: np.ndarray | None = None,
 ) -> PartitionResult:
     """Phase 2: stream ``edges`` into the state the in-memory phase left.
 
     The scorer starts from ``inmem``'s replica sets and partition loads
-    and weighs endpoints by ``degrees``, ``el``'s vertex degrees;
-    the balance cap ⌈α·|E|/k⌉ counts all of ``el``'s edges, which are
-    ``inmem``'s plus ``edges``. Returns the in-memory assignment
-    followed by the streamed edges.
+    (its ``loads`` when it kept them), which it consumes, and weighs
+    endpoints by ``degrees``, ``el``'s vertex degrees; the balance cap
+    ⌈α·|E|/k⌉ counts all of ``el``'s edges, which are ``inmem``'s plus
+    ``edges``. Returns the in-memory assignment followed by the streamed
+    edges, written after it in place when ``out`` is the array whose
+    first rows ``inmem.assignment`` is, else into a new array.
     """
     t1 = time.perf_counter()
     k = inmem.k
-    replicas, sizes = inmem.replicas, inmem.sizes
+    replicas = inmem.replicas
+    sizes = inmem.loads if inmem.loads is not None else inmem.sizes
     pids = stream_edges(
         edges,
         replicas=replicas,
@@ -113,8 +118,10 @@ def _stream_h2h(
     )
     t_stream_s = time.perf_counter() - t1
     m0 = len(inmem.assignment)
-    assignment = np.empty((m0 + len(edges), 3), dtype=np.int64)
-    assignment[:m0] = inmem.assignment
+    if out is None:
+        out = np.empty((m0 + len(edges), 3), dtype=np.int64)
+        out[:m0] = inmem.assignment
+    assignment = out[:m0 + len(edges)]
     assignment[m0:, :2] = edges
     assignment[m0:, 2] = pids
     return PartitionResult(

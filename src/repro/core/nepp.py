@@ -45,8 +45,11 @@ from ..graphs.generators import EdgeList
 from . import _native
 from .common import PartitionResult, check_k
 
+MAX_COL = 2**31  # column entries the C loop's packed heap keys allow
 
-def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
+
+def partition_nepp(el: EdgeList, *, k: int, csr: CSR,
+                   out: np.ndarray | None = None) -> PartitionResult:
     """Partition the in-memory edge set of ``el`` into ``k`` parts.
 
     Returns a :class:`PartitionResult` whose assignment covers only the
@@ -54,12 +57,14 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
     ``csr.h2h`` for the streaming phase (:mod:`.hep`). ``csr`` is the
     pruned CSR of ``el`` (:func:`~repro.graphs.csr.build_pruned_csr`),
     whose ``high`` mask carries the τ classification; it is consumed
-    (mutated by clean-up).
+    (mutated by clean-up). With ``out``, a writeable C-contiguous
+    ``(rows, 3)`` int64 array of at least |E \\ E_h2h| rows, the
+    assignment is written into its first rows and is a view of it.
+    ``loads`` holds the partition loads the loop kept.
 
-    With a paging ``touch`` hook on ``csr``, an untraced run on copies
-    of the arrays the loop mutates counts the column reads; the run on
-    ``csr`` records them into an array of that many (byte_lo, byte_hi)
-    pairs, replayed into ``touch`` in read order after the run.
+    With a paging ``touch`` hook on ``csr``, the column reads, recorded
+    by the C loop in read order, are replayed into ``touch`` after the
+    run.
 
     Besides the counts :func:`partition_nepp_py` reports (clean-up,
     seed probes, ...), ``stats`` holds ``col_reads`` and
@@ -67,28 +72,45 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
     ``phases``, the thread-CPU seconds of expansion, clean-up and the
     last sweep (a ``touch`` hook's time is not in them).
     """
-    check_k(k)
-    m_inmem = el.m - len(csr.h2h)
-    _check_csr(csr, m_inmem)
-    cap = max(1, -(-m_inmem // k))  # ⌈|E \ E_h2h| / k⌉
-    initial_entries = csr.col_entries  # before clean-up shrinks lists
-    trace = np.empty((0, 2), dtype=np.int64)  # no hook: no reads recorded
-    if csr.touch is not None:
-        dry = replace(csr, out_size=csr.out_size.copy(), in_size=csr.in_size.copy(),
-                      col=csr.col.copy(), touch=None)
-        _, _, counters, _ = _run(dry, k, cap, m_inmem, trace)
-        trace = np.empty((counters[2], 2), dtype=np.int64)  # a row per column read
-    assignment, replicas, counters, phases = _run(csr, k, cap, m_inmem, trace)
+    res, trace = _partition(el, k, csr, out=out, traced=csr.touch is not None)
     touch = csr.touch
     for lo, hi in zip(trace[:, 0].tolist(), trace[:, 1].tolist()):
         touch(lo, hi)
-    assigned, cleaned, reads, read_bytes, probes = counters.tolist()
+    return res
+
+
+def _partition(el: EdgeList, k: int, csr: CSR, *, out: np.ndarray | None = None,
+               traced: bool = False) -> tuple[PartitionResult, np.ndarray]:
+    """:func:`partition_nepp` without the hook: (result, trace), where
+    ``trace`` is the ``(reads, 2)`` int64 array of the run's column
+    reads as (byte_lo, byte_hi) pairs when ``traced``, else empty. A
+    traced run first runs untraced on copies of the arrays the loop
+    mutates, to size the trace."""
+    check_k(k)
+    m_inmem = el.m - len(csr.h2h)
+    _check_csr(csr, m_inmem)
+    if out is not None and not (
+            isinstance(out, np.ndarray) and out.dtype == np.int64 and out.ndim == 2
+            and out.shape[1] == 3 and len(out) >= m_inmem and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise ValueError(f"partition_nepp: out must be a writeable C-contiguous (rows, 3) "
+                         f"int64 array of at least {m_inmem} rows")
+    cap = max(1, -(-m_inmem // k))  # ⌈|E \ E_h2h| / k⌉
+    initial_entries = csr.col_entries  # before clean-up shrinks lists
+    trace = np.empty((0, 2), dtype=np.int64)  # untraced: no reads recorded
+    if traced:  # the copies the sizing run mutates are freed before the real run
+        reads = _run(replace(csr, out_size=csr.out_size.copy(), in_size=csr.in_size.copy(),
+                             col=csr.col.copy()), k, cap, m_inmem, trace, out)[3][2]
+        trace = np.empty((reads, 2), dtype=np.int64)  # a row per column read
+    assignment, replicas, sizes, counters, phases = _run(csr, k, cap, m_inmem, trace, out)
+    _, cleaned, reads, read_bytes, probes = counters.tolist()
     expansion_s, cleanup_s, sweep_s = phases.tolist()
     return PartitionResult(
-        assignment=assignment[:assigned],
+        assignment=assignment,
         k=k,
         n=csr.n,
         replicas=replicas,
+        loads=sizes,
         stats={
             "m_inmem": m_inmem,
             "cap": cap,
@@ -101,29 +123,31 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR) -> PartitionResult:
             "phases": {"expansion_s": expansion_s, "cleanup_s": cleanup_s,
                        "sweep_s": sweep_s},
         },
-    )
+    ), trace
 
 
-def _run(csr: CSR, k: int, cap: int, m_inmem: int, trace: np.ndarray):
-    """One call of the C loop over ``csr``, recording its column reads
-    into the ``(reads, 2)`` int64 ``trace``: (assignment, replicas,
-    counters, phases). A status other than NEPP_OK is raised."""
+def _run(csr: CSR, k: int, cap: int, m_inmem: int, trace: np.ndarray,
+         out: np.ndarray | None = None):
+    """One call of the C loop over ``csr``, writing the assignment into
+    the first ``m_inmem`` rows of ``out`` (a new array when None) and
+    recording its column reads into the ``(reads, 2)`` int64 ``trace``:
+    (assignment, replicas, sizes, counters, phases), the assignment a
+    view of the rows written. A status other than NEPP_OK is raised."""
     n = csr.n
-    assignment = np.empty((m_inmem, 3), dtype=np.int64)
+    if out is None:
+        out = np.empty((m_inmem, 3), dtype=np.int64)
     replicas = np.zeros((k, n), dtype=bool)
     sizes = np.zeros(k, dtype=np.int64)
-    core = np.zeros(n, dtype=bool)
-    in_s = np.empty(n, dtype=bool)  # cleared at the start of each partition
-    d_ext, heap, heap_pos, s_list = np.empty((4, n), dtype=np.int64)
+    state = np.empty(n, dtype=np.uint8)  # seeded from csr.high by the loop
+    heap, heap_pos, s_list = np.empty((3, n), dtype=np.int64)
     counters = np.zeros(5, dtype=np.int64)
     phases = np.zeros(3)
     status = _native.LIB.nepp(
         n, csr.out_start.ctypes.data, csr.out_size.ctypes.data, csr.in_start.ctypes.data,
         csr.in_size.ctypes.data, csr.col.ctypes.data, csr.high.ctypes.data, k, cap, m_inmem,
-        assignment.ctypes.data, replicas.ctypes.data, sizes.ctypes.data, core.ctypes.data,
-        in_s.ctypes.data, d_ext.ctypes.data, heap.ctypes.data, heap_pos.ctypes.data,
-        s_list.ctypes.data, trace.ctypes.data, len(trace), counters.ctypes.data,
-        phases.ctypes.data,
+        out.ctypes.data, replicas.ctypes.data, sizes.ctypes.data, state.ctypes.data,
+        heap.ctypes.data, heap_pos.ctypes.data, s_list.ctypes.data, trace.ctypes.data,
+        len(trace), counters.ctypes.data, phases.ctypes.data,
     )
     if status == -2:  # NEPP_TRACE_FULL
         raise RuntimeError(f"partition_nepp: the trace buffer of {len(trace)} reads is full; "
@@ -131,7 +155,7 @@ def _run(csr: CSR, k: int, cap: int, m_inmem: int, trace: np.ndarray):
     if status != 0:  # NEPP_ROWS_FULL
         raise ValueError(f"partition_nepp: csr holds more in-memory edges than "
                          f"el.m - len(csr.h2h) = {m_inmem}")
-    return assignment, replicas, counters, phases
+    return out[:counters[0]], replicas, sizes, counters, phases
 
 
 def _check_csr(csr: CSR, m_inmem: int) -> None:
@@ -160,6 +184,10 @@ def _check_csr(csr: CSR, m_inmem: int) -> None:
     require(isinstance(col, np.ndarray) and col.ndim == 1
             and array(col, np.uint32, len(col), True),
             "csr.col must be a writeable C-contiguous 1-D uint32 array")
+    # the C heap packs a vertex's external degree, at most the length of
+    # its two lists (each within col), above its 32-bit id
+    require(len(col) < MAX_COL, f"csr.col holds {len(col)} entries; the C loop's packed "
+            f"heap keys take at most {MAX_COL - 1}")
     require(m_inmem >= 0, "csr.h2h holds more edges than el.m")
     for side in ("out", "in"):
         start, size = getattr(csr, f"{side}_start"), getattr(csr, f"{side}_size")

@@ -20,6 +20,7 @@ C, with a numpy reference):
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +109,10 @@ def _fill_lists(el: EdgeList, *, high: np.ndarray, eid: bool) -> CSR:
     in-list unless v is high; an edge stored in neither is an ``h2h``
     edge. Each list holds its entries in edge order, and a vertex's
     out-list is followed by its in-list in ``col``. With ``eid``, the
-    edge id of every entry goes to ``col_eid``. The lists are counted
-    and filled by the C counting sort in ``core/_kernels.c``;
-    :func:`_fill_lists_np` is the same build in numpy, its reference.
+    edge id of every entry goes to ``col_eid``. The lists and ``h2h``
+    are counted and filled by the C counting sort in
+    ``core/_kernels.c``; :func:`_fill_lists_np` is the same build in
+    numpy, its reference.
     """
     from ..core._native import LIB  # repro.core imports this module: not at the top
 
@@ -119,22 +121,25 @@ def _fill_lists(el: EdgeList, *, high: np.ndarray, eid: bool) -> CSR:
     high = np.ascontiguousarray(high, dtype=bool)
     out_size = np.zeros(n, dtype=np.int64)
     in_size = np.zeros(n, dtype=np.int64)
+    n_h2h = ctypes.c_int64()
     total = LIB.csr_count(edges.ctypes.data, len(edges), n, high.ctypes.data,
-                          out_size.ctypes.data, in_size.ctypes.data)
+                          out_size.ctypes.data, in_size.ctypes.data, ctypes.byref(n_h2h))
     if total < 0:
         raise ValueError(f"edge ids must be < n={n}")
     out_start = np.empty(n, dtype=np.int64)
     in_start = np.empty(n, dtype=np.int64)
     col = np.empty(total, dtype=np.uint32)
     col_eid = np.empty(total, dtype=np.int64) if eid else None
+    h2h = np.empty((n_h2h.value, 2), dtype=np.uint32)
     status = LIB.csr_fill(edges.ctypes.data, len(edges), n, high.ctypes.data,
                           out_start.ctypes.data, out_size.ctypes.data, in_start.ctypes.data,
                           in_size.ctypes.data, col.ctypes.data,
-                          col_eid.ctypes.data if eid else None, total)
+                          col_eid.ctypes.data if eid else None, total, h2h.ctypes.data,
+                          len(h2h))
     if status != 0:
         raise ValueError("the edge list does not match its list counts")
     return CSR(n=n, out_start=out_start, out_size=out_size, in_start=in_start,
-               in_size=in_size, col=col, high=high, h2h=el.edges[h2h_mask(el, high)], col_eid=col_eid)
+               in_size=in_size, col=col, high=high, h2h=h2h, col_eid=col_eid)
 
 
 def _fill_lists_np(el: EdgeList, *, high: np.ndarray, eid: bool) -> CSR:

@@ -81,11 +81,17 @@ class EdgeList:
         return self.m * 8
 
     def degrees(self) -> np.ndarray:
-        """Per-vertex undirected degree, shape (n,)."""
-        return (
-            np.bincount(self.edges[:, 0], minlength=self.n)
-            + np.bincount(self.edges[:, 1], minlength=self.n)
-        )
+        """Per-vertex undirected degree, shape (n,) int64: both endpoints
+        of every edge counted in one pass of the C kernel
+        ``edge_degrees``. An id changed to n or more after the list was
+        checked is refused."""
+        from ..core._native import LIB  # repro.core imports this module: not at the top
+
+        edges = np.ascontiguousarray(self.edges, dtype=np.uint32)
+        degrees = np.zeros(self.n, dtype=np.int64)
+        if LIB.edge_degrees(edges.ctypes.data, len(edges), self.n, degrees.ctypes.data) != 0:
+            raise ValueError(f"edge ids must be < n={self.n}")
+        return degrees
 
 
 def pair_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -3,9 +3,9 @@
 The paper restricts NE++'s memory with cgroups and an SSD swap device,
 then counts hard page faults. The sandbox has neither cgroup delegation
 nor swap (DESIGN.md substitution 3), so we reproduce the *measured
-quantity* directly: the CSR exposes a ``touch(byte_lo, byte_hi)`` hook
-on every column-array access, and this module replays those touches
-against an LRU cache of 4 KiB pages sized to the memory limit minus
+quantity* directly: NE++ records every column-array read as the byte
+range ``[byte_lo, byte_hi)`` (the CSR's ``touch`` hook sees the same
+ranges), and this module replays those reads as touches against an LRU cache of 4 KiB pages sized to the memory limit minus
 HEP's fixed structures (§4.2). A miss on a never-seen page is a
 compulsory load (the initial file read — not a fault); a miss on a
 previously-resident page is a **hard page fault**. Run-time is modeled
@@ -13,11 +13,10 @@ as measured compute time + faults × SSD latency.
 
 NE++ never reads the cache, so its touches do not depend on the memory
 limit: one NE++ run records them, and the trace is replayed against a
-fresh cache per limit; a second NE++ run, without the hook, is timed.
+fresh cache per limit; a second NE++ run, recording nothing, is timed.
 """
 from __future__ import annotations
 
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -64,31 +63,28 @@ class PagingRun:
 
 
 def run_nepp_paged(el, *, k: int, tau: float, limits) -> list[PagingRun]:
-    """Run NE++ once recording its column reads and once timed without a
-    hook, and replay the reads against an LRU cache of each limit in
+    """Run NE++ once recording its column reads and once timed recording
+    nothing, and replay the reads against an LRU cache of each limit in
     ``limits`` minus the fixed §4.2 structures; one :class:`PagingRun`
     per limit, in order."""
     import time
 
+    from ..core import nepp
     from ..core.memory_model import hep_fixed_bytes
-    from ..core.nepp import partition_nepp
     from ..graphs.csr import build_pruned_csr
 
-    csr = build_pruned_csr(el, tau=tau)
-    trace = array("q")  # (byte_lo, byte_hi) pairs, flattened
-    csr.touch = lambda lo, hi: trace.extend((lo, hi))
-    partition_nepp(el, k=k, csr=csr)
+    # the (reads, 2) array of (byte_lo, byte_hi) pairs the C loop recorded
+    trace = nepp._partition(el, k, build_pruned_csr(el, tau=tau), traced=True)[1]
     csr = build_pruned_csr(el, tau=tau)  # the traced run consumed its CSR
     t0 = time.perf_counter()
-    partition_nepp(el, k=k, csr=csr)
+    nepp.partition_nepp(el, k=k, csr=csr)
     compute = time.perf_counter() - t0
     fixed = hep_fixed_bytes(el.n, k=k)
     runs = []
     for limit_bytes in limits:
         # only the column array pages; the §4.2 fixed structures are pinned
         cache = LruPageCache(max(PAGE_SIZE, limit_bytes - fixed))
-        pairs = iter(trace)
-        for lo, hi in zip(pairs, pairs):
+        for lo, hi in zip(trace[:, 0].tolist(), trace[:, 1].tolist()):
             cache.touch(lo, hi)
         runs.append(
             PagingRun(

@@ -59,8 +59,9 @@ def test_footprint_column_term_matches_pruned_csr():
 @pytest.mark.parametrize("tau", [100.0, 10.0, 1.0])
 def test_hep_traced_peak_within_model(tau):
     """Measured memory stays within a stated factor of the §4.2 model:
-    partition_hep's tracemalloc peak is at most 2·(model + the 24·|E|
-    bytes of the int64 (src, dst, pid) assignment)."""
+    partition_hep's tracemalloc peak is at most 1.5·(model + the 24·|E|
+    bytes of the int64 (src, dst, pid) assignment, which NE++ and the
+    streaming phase share)."""
     el = tiny_graph("OK", scale=0.1)
     k = 32
     tracemalloc.start()
@@ -69,7 +70,7 @@ def test_hep_traced_peak_within_model(tau):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 2 * (hep_footprint_bytes(el.degrees(), tau=tau, k=k) + 24 * el.m)
+    bound = 1.5 * (hep_footprint_bytes(el.degrees(), tau=tau, k=k) + 24 * el.m)
     assert peak <= bound, f"traced peak {peak} B is {peak / bound:.2f}× the bound {bound} B"
 
 

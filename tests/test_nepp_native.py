@@ -1,12 +1,13 @@
-"""The C NE++ loop and the C CSR fill against their Python references:
-NE++ (``partition_nepp`` vs ``partition_nepp_py``) must agree on the
-assignment, replica sets, loads, clean-up and column-read trace; the
-counting-sort fill must give the numpy fill's arrays byte for byte."""
+"""The C NE++ loop, the C CSR fill and the C degree count against their
+Python references: NE++ (``partition_nepp`` vs ``partition_nepp_py``)
+must agree on the assignment, replica sets, loads, clean-up and
+column-read trace; the counting-sort fill must give the numpy fill's
+arrays byte for byte; ``EdgeList.degrees`` must equal two bincounts."""
 from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import nepp as nepp_mod
@@ -38,6 +39,9 @@ def assert_native_matches_python(el, k, tau):
     assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
     assert np.array_equal(native.replicas, ref.replicas)
     assert np.array_equal(native.sizes, ref.sizes)
+    # the loads the C loop kept, which HEP's streaming phase starts from
+    assert native.loads.dtype == np.int64
+    assert np.array_equal(native.loads, np.bincount(a[:, 2], minlength=k))
     for key, value in ref.stats.items():  # cleaned_entries, seed_probes, cap, ...
         assert native.stats[key] == value, key
     for name in ("col", "out_size", "in_size"):
@@ -119,6 +123,53 @@ def test_trace_buffer_one_pair_short_stops_the_run():
     assert (buf[reads - 1:] == -7).all()
 
 
+def test_col_too_long_for_heap_keys_rejected(monkeypatch):
+    """A col of MAX_COL (2**31) entries or more is refused before the C
+    loop, whose packed heap keys hold a vertex's list length in 32 bits.
+    A real one would take an 8 GiB array, so the limit is lowered to
+    this CSR's length; one entry fewer passes."""
+    el = tiny_graph("OK")
+    csr = build_pruned_csr(el, tau=100.0)
+    monkeypatch.setattr(nepp_mod, "MAX_COL", len(csr.col))
+    with pytest.raises(ValueError, match=f"^partition_nepp: csr.col holds {len(csr.col)} "
+                                         f"entries; the C loop's packed heap keys take at "
+                                         f"most {len(csr.col) - 1}$"):
+        partition_nepp(el, k=4, csr=csr)
+    monkeypatch.setattr(nepp_mod, "MAX_COL", len(csr.col) + 1)
+    partition_nepp(el, k=4, csr=csr)
+
+
+def test_nepp_writes_into_out():
+    """With ``out``, the assignment is written into its first rows and
+    the result is a view of them; the rows past it are untouched."""
+    el = tiny_graph("OK")
+    ref = partition_nepp(el, k=8, csr=build_pruned_csr(el, tau=1.0))
+    buf = np.full((el.m + 2, 3), -7, dtype=np.int64)
+    res = partition_nepp(el, k=8, csr=build_pruned_csr(el, tau=1.0), out=buf)
+    assert np.shares_memory(res.assignment, buf)
+    assert np.array_equal(res.assignment, ref.assignment)
+    assert np.array_equal(buf[:len(ref.assignment)], ref.assignment)
+    assert (buf[len(ref.assignment):] == -7).all()
+
+
+@pytest.mark.parametrize("fault", ["int32", "too few rows", "2 columns", "not C-contiguous",
+                                   "read-only"])
+def test_bad_out_rejected(fault):
+    el = tiny_graph("OK")
+    csr = build_pruned_csr(el, tau=1.0)
+    rows = el.m - len(csr.h2h)
+    out = {
+        "int32": lambda: np.empty((rows, 3), dtype=np.int32),
+        "too few rows": lambda: np.empty((rows - 1, 3), dtype=np.int64),
+        "2 columns": lambda: np.empty((rows, 2), dtype=np.int64),
+        "not C-contiguous": lambda: np.empty((3, rows), dtype=np.int64).T,
+        "read-only": lambda: np.lib.stride_tricks.as_strided(np.empty((rows, 3), np.int64),
+                                                             writeable=False),
+    }[fault]()
+    with pytest.raises(ValueError, match=f"^partition_nepp: out must be .* at least {rows} rows"):
+        partition_nepp(el, k=8, csr=csr, out=out)
+
+
 def _bad_csr(fault):
     el = tiny_graph("OK")
     csr = build_pruned_csr(el, tau=100.0)
@@ -193,3 +244,42 @@ def test_fill_refuses_id_out_of_range():
     el.edges[1, 1] = 4
     with pytest.raises(ValueError, match="edge ids must be < n=4"):
         build_csr(el)
+
+
+@st.composite
+def sparse_edgelist(draw) -> EdgeList:
+    """An edge list over ``n`` ids, some of them isolated (unused ids,
+    ids past the largest one used), possibly with no edges at all."""
+    n = draw(st.integers(min_value=0, max_value=40), label="n")
+    ids = st.integers(min_value=0, max_value=max(0, n - 1))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=80), label="pairs") if n else []
+    seen, edges = set(), []
+    for u, v in pairs:
+        if u != v and (min(u, v), max(u, v)) not in seen:
+            seen.add((min(u, v), max(u, v)))
+            edges.append((u, v))
+    return EdgeList(edges=np.array(edges, dtype=np.uint32).reshape(-1, 2), n=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_edgelist())
+@example(EdgeList(edges=np.empty((0, 2), dtype=np.uint32), n=0))
+@example(EdgeList(edges=np.empty((0, 2), dtype=np.uint32), n=5))
+@example(EdgeList(edges=np.array([[0, 2]], dtype=np.uint32), n=6))  # ids 1, 3, 4, 5 isolated
+def test_native_degrees_match_bincounts(el):
+    """The C one-pass degree count equals the two-bincount formula,
+    dtype and length included."""
+    want = (np.bincount(el.edges[:, 0], minlength=el.n)
+            + np.bincount(el.edges[:, 1], minlength=el.n))
+    got = el.degrees()
+    assert got.dtype == np.int64 and got.shape == (el.n,)
+    assert np.array_equal(got, want)
+
+
+def test_degrees_refuse_id_out_of_range():
+    """An edge array changed after its EdgeList was checked is refused
+    by the C count, not written out of bounds."""
+    el = path_graph(4)
+    el.edges[1, 1] = 4
+    with pytest.raises(ValueError, match="edge ids must be < n=4"):
+        el.degrees()

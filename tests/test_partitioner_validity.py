@@ -5,6 +5,7 @@ on every analog graph for every k — the paper's §2 problem definition.
 import numpy as np
 import pytest
 
+from repro.core import hep as hep_mod
 from repro.core.common import check_valid
 from repro.core.hashing import dbh_np
 from repro.core.hep import partition_hep, partition_simple_hybrid, partition_streaming
@@ -116,6 +117,24 @@ def test_hep_counts_degrees_once(tau, monkeypatch):
     monkeypatch.setattr(EdgeList, "degrees", lambda self: calls.append(1) or degrees(self))
     partition_hep(el, k=8, tau=tau)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tau", [100.0, 1.0])
+def test_hep_writes_one_assignment(tau, monkeypatch):
+    """NE++ writes its rows into the array HEP returns, and the
+    streaming phase starts from the loads NE++ kept."""
+    el = tiny_graph("OK")
+    seen = []
+    nepp = hep_mod.partition_nepp
+    monkeypatch.setattr(hep_mod, "partition_nepp",
+                        lambda *a, **kw: seen.append(nepp(*a, **kw)) or seen[-1])
+    res = partition_hep(el, k=8, tau=tau)
+    inmem = seen[0]
+    assert np.shares_memory(res.assignment, inmem.assignment)
+    assert np.array_equal(res.assignment[:len(inmem.assignment)], inmem.assignment)
+    # phase 2 advanced NE++'s own load array to the final loads
+    assert np.array_equal(inmem.loads, res.sizes)
+    check_valid(el, res, alpha=1.1)
 
 
 @pytest.mark.parametrize("pname", sorted(PARTITIONERS) + ["dbh"])
