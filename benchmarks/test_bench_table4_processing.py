@@ -5,22 +5,16 @@ each of HEP-100/10/1, NE, SNE, HDRF, DBH — partitioning time, RF, and
 PageRank/BFS/CC cost on the gasx engine (wall time + replica-sync
 rows). EXPERIMENTS.md diffs the shape against the paper's Table 4.
 """
-import pathlib
-
+from repro.gasx.engine import SQL_CONF
 from repro.harness import print_rows, run_table4
 
 from ._scales import K, T4_SCALE
 
-JOBS = pathlib.Path(__file__).resolve().parents[1] / "jobs"
 
-
-def test_bench_table4(spark, benchmark, monkeypatch):
-    # the settings jobs/_session.get_spark gives the jobs: with adaptive
+def test_bench_table4(spark, benchmark):
+    # gasx's settings, which the jobs run under too: with adaptive
     # execution on, a checkpoint keeps no partitioning and every
     # superstep re-shuffles the edge table
-    monkeypatch.syspath_prepend(str(JOBS))
-    from _session import SQL_CONF
-
     old = {key: spark.conf.get(key) for key in SQL_CONF}
     for key, value in SQL_CONF.items():
         spark.conf.set(key, value)

@@ -11,21 +11,7 @@ import math
 
 from pyspark.sql import SparkSession
 
-
-# Adaptive execution off: under it a checkpoint keeps no partitioning,
-# so every gasx superstep would re-shuffle the edge table.
-SQL_CONF = {
-    "spark.sql.shuffle.partitions": "16",
-    "spark.sql.adaptive.enabled": "false",
-    "spark.sql.execution.arrow.pyspark.enabled": "true",
-}
-# Static: read once, when the session starts (a running session refuses
-# to change it). Spark's generated-class cache defaults to 100 entries
-# in four LRU segments; one Table 4 row's gasx runs overflow a segment,
-# so every later row recompiled its classes.
-STATIC_CONF = {
-    "spark.sql.codegen.cache.maxEntries": "1000",
-}
+from repro.gasx.engine import SQL_CONF, STATIC_CONF
 
 
 def get_spark(app: str) -> SparkSession:

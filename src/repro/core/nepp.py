@@ -46,6 +46,7 @@ from . import _native
 from .common import PartitionResult, check_k
 
 MAX_COL = 2**31  # column entries the C loop's packed heap keys allow
+TRACE_SLICE = 4096  # trace rows turned into Python ints at a time
 
 
 def partition_nepp(el: EdgeList, *, k: int, csr: CSR,
@@ -64,7 +65,7 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR,
 
     With a paging ``touch`` hook on ``csr``, the column reads, recorded
     by the C loop in read order, are replayed into ``touch`` after the
-    run.
+    run, a slice of the trace at a time.
 
     Besides the counts :func:`partition_nepp_py` reports (clean-up,
     seed probes, ...), ``stats`` holds ``col_reads`` and
@@ -74,9 +75,18 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR,
     """
     res, trace = _partition(el, k, csr, out=out, traced=csr.touch is not None)
     touch = csr.touch
-    for lo, hi in zip(trace[:, 0].tolist(), trace[:, 1].tolist()):
+    for lo, hi in _reads(trace):
         touch(lo, hi)
     return res
+
+
+def _reads(trace: np.ndarray):
+    """The (byte_lo, byte_hi) rows of a ``(reads, 2)`` trace in order, as
+    Python ints made :data:`TRACE_SLICE` rows at a time, so no more than
+    one slice of them is alive at once."""
+    for i in range(0, len(trace), TRACE_SLICE):
+        part = trace[i:i + TRACE_SLICE]
+        yield from zip(part[:, 0].tolist(), part[:, 1].tolist())
 
 
 def _partition(el: EdgeList, k: int, csr: CSR, *, out: np.ndarray | None = None,

@@ -44,7 +44,6 @@ def stream_edges(
     degrees: np.ndarray,
     cap: int,
     method: str = "hdrf",
-    seed: int = 0,
 ) -> np.ndarray:
     """Assign ``edges`` (m,2) one at a time; returns (m,) pid array.
 
@@ -54,11 +53,11 @@ def stream_edges(
     endpoints by. ``cap`` bounds every partition's load, streamed edges
     included; it must leave room for all of ``edges`` (k·cap ≥ Σ sizes
     + m), so some partition is always open. ``method``: "hdrf" |
-    "greedy" | "random"; ``seed`` seeds random's draws.
+    "greedy" | "random"; random's draws are seeded with 0.
     """
     if method == "random":
         return stream_edges_py(edges, replicas=replicas, sizes=sizes, degrees=degrees,
-                               cap=cap, method=method, seed=seed)
+                               cap=cap, method=method)
     if method not in _NATIVE_METHODS:
         raise ValueError(f"unknown streaming method {method!r}")
     edges, degrees = _checked(edges, replicas, sizes, degrees)
@@ -131,14 +130,13 @@ def stream_edges_py(
     degrees: np.ndarray,
     cap: int,
     method: str = "hdrf",
-    seed: int = 0,
 ) -> np.ndarray:
     """:func:`stream_edges` as a Python loop, scores vectorized over the
     k partitions with numpy: the reference for the C kernel, and the
     random path."""
     _check_room(sizes, len(edges), cap)
     pids = np.empty(len(edges), dtype=np.int64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     deg = degrees.astype(np.float64)
     for idx in range(len(edges)):
         u = int(edges[idx, 0])

@@ -28,22 +28,28 @@ from pyspark.sql import Column, DataFrame, Observation, Window
 from pyspark.sql import functions as F
 
 
-def symmetrize(assignment: DataFrame) -> DataFrame:
-    """Both directions of every edge, each keeping its pid."""
-    fwd = assignment.select("pid", "src", "dst")
-    rev = assignment.select(
-        "pid", F.col("dst").alias("src"), F.col("src").alias("dst")
-    )
-    return fwd.unionAll(rev)
+# The settings gasx runs under, which the jobs (``jobs/_session``) and the
+# Table 4 bench apply. Adaptive execution is off for :func:`edge_table`.
+SQL_CONF = {
+    "spark.sql.shuffle.partitions": "16",
+    "spark.sql.adaptive.enabled": "false",
+    "spark.sql.execution.arrow.pyspark.enabled": "true",
+}
+# Static: read once, when the session starts (a running session refuses
+# to change it). Spark's generated-class cache defaults to 100 entries
+# in four LRU segments; one Table 4 row's gasx runs overflow a segment,
+# so every later row recompiled its classes.
+STATIC_CONF = {"spark.sql.codegen.cache.maxEntries": "1000"}
 
 
 def edge_table(assignment: DataFrame) -> DataFrame:
     """The edges every superstep scans: DataFrame(pid, src, dst, outdeg),
-    both directions of every edge with the out-degree of ``src``,
-    checkpointed hash-partitioned and sorted by ``src``, so that vertex
-    state partitioned the same way joins it without moving an edge
-    (with adaptive execution off: under it a checkpoint keeps no
-    partitioning).
+    both directions of every edge, each keeping its pid, with the
+    out-degree of ``src``, checkpointed hash-partitioned and sorted by
+    ``src``, so that vertex state partitioned the same way joins it
+    without moving an edge (with adaptive execution off: under it a
+    checkpoint keeps no partitioning, so every superstep would
+    re-shuffle the table).
 
     Ids are declared non-null, so no superstep plans a null check and
     every vertex state has one type. The partitioning comes from the
@@ -55,8 +61,10 @@ def edge_table(assignment: DataFrame) -> DataFrame:
     ids = assignment.where(
         F.col("src").isNotNull() & F.col("dst").isNotNull() & F.col("pid").isNotNull()
     )
+    fwd = ids.select("pid", "src", "dst")
+    rev = ids.select("pid", F.col("dst").alias("src"), F.col("src").alias("dst"))
     outdeg = F.count(F.lit(1)).over(Window.partitionBy("src"))
-    return symmetrize(ids).withColumn("outdeg", outdeg).localCheckpoint()
+    return fwd.unionAll(rev).withColumn("outdeg", outdeg).localCheckpoint()
 
 
 def vertex_table(edges: DataFrame, name: str, init: Column) -> DataFrame:

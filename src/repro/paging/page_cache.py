@@ -12,8 +12,9 @@ previously-resident page is a **hard page fault**. Run-time is modeled
 as measured compute time + faults × SSD latency.
 
 NE++ never reads the cache, so its touches do not depend on the memory
-limit: one NE++ run records them, and the trace is replayed against a
-fresh cache per limit; a second NE++ run, recording nothing, is timed.
+limit: one NE++ run records them, and one pass over the trace replays
+each read into a fresh cache per limit; a second NE++ run, recording
+nothing, is timed.
 """
 from __future__ import annotations
 
@@ -80,19 +81,18 @@ def run_nepp_paged(el, *, k: int, tau: float, limits) -> list[PagingRun]:
     nepp.partition_nepp(el, k=k, csr=csr)
     compute = time.perf_counter() - t0
     fixed = hep_fixed_bytes(el.n, k=k)
-    runs = []
-    for limit_bytes in limits:
-        # only the column array pages; the §4.2 fixed structures are pinned
-        cache = LruPageCache(max(PAGE_SIZE, limit_bytes - fixed))
-        for lo, hi in zip(trace[:, 0].tolist(), trace[:, 1].tolist()):
+    # only the column array pages; the §4.2 fixed structures are pinned
+    caches = [(limit, LruPageCache(max(PAGE_SIZE, limit - fixed))) for limit in limits]
+    for lo, hi in nepp._reads(trace):  # every cache sees every read, in order
+        for _, cache in caches:
             cache.touch(lo, hi)
-        runs.append(
-            PagingRun(
-                limit_bytes=limit_bytes,
-                hard_faults=cache.hard_faults,
-                compulsory=cache.compulsory,
-                compute_s=compute,
-                modeled_runtime_s=compute + cache.hard_faults * SSD_FAULT_SECONDS,
-            )
+    return [
+        PagingRun(
+            limit_bytes=limit,
+            hard_faults=cache.hard_faults,
+            compulsory=cache.compulsory,
+            compute_s=compute,
+            modeled_runtime_s=compute + cache.hard_faults * SSD_FAULT_SECONDS,
         )
-    return runs
+        for limit, cache in caches
+    ]

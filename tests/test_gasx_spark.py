@@ -1,7 +1,6 @@
 """gasx engine + algorithms: correctness against dense references and
 partitioning-invariance (the partitioning changes cost, never results).
 """
-import pathlib
 import re
 
 import numpy as np
@@ -12,14 +11,13 @@ from repro.core.hashing import dbh_np
 from repro.core.hep import partition_hep
 from repro.core.metrics import assignment_to_spark
 from repro.gasx.algorithms import bfs, connected_components, pagerank
-from repro.gasx.engine import compiled_classes, edge_table, symmetrize
+from repro.gasx.engine import SQL_CONF, compiled_classes, edge_table
 from repro.gasx.reference import bfs_ref, cc_ref, pagerank_ref
 from repro.graphs.degrees import degrees_df, high_vertices, split_edges
 from repro.graphs.generators import to_spark
 
 from .conftest import tiny_graph, two_triangles
 
-JOBS = pathlib.Path(__file__).resolve().parents[1] / "jobs"
 GRAPH = "OK"
 SCALE = 0.01
 
@@ -49,8 +47,8 @@ def adf_dbh(spark, dbh):
     return assignment_to_spark(spark, dbh).cache()
 
 
-def test_symmetrize_doubles_edges(adf_hep, el):
-    assert symmetrize(adf_hep).count() == 2 * el.m
+def test_edge_table_doubles_edges(adf_hep, el):
+    assert edge_table(adf_hep).count() == 2 * el.m
 
 
 def test_vertices_count(adf_hep, el):
@@ -133,6 +131,25 @@ def test_cc_matches_reference(el, hep, adf_hep):
     assert stats.comm_rows == stats.iterations * hep.covered().sum()
 
 
+def test_cc_stops_at_max_iter(hep, adf_hep):
+    """Capped before its fixpoint, CC reports the cap and one sync of
+    every replica pair."""
+    _, stats = connected_components(adf_hep, max_iter=1)
+    assert stats.iterations == 1
+    assert stats.comm_rows == hep.covered().sum()
+
+
+def test_bfs_stops_at_max_iter(el, adf_hep, monkeypatch):
+    """Capped before its fixpoint, BFS reports the cap and the vertices
+    reached so far: the source and its neighbours."""
+    monkeypatch.setattr(gasx_alg, "BFS_MAX_ITER", 1)
+    dist, stats = bfs(adf_hep, source=0)
+    ref = bfs_ref(el, source=0)
+    assert stats.iterations == 1
+    got = {r["v"]: r["dist"] for r in dist.collect()}
+    assert got == {v: int(ref[v]) for v in np.flatnonzero((ref >= 0) & (ref <= 1))}
+
+
 def test_cc_partitioning_invariant(spark):
     el = two_triangles()
     a1 = assignment_to_spark(spark, dbh_np(el, k=2))
@@ -162,11 +179,9 @@ def bench_session(spark):
 
 
 @pytest.fixture
-def job_session(spark, monkeypatch):
-    """The settings ``jobs/_session.get_spark`` gives the jobs/ entrypoints."""
-    monkeypatch.syspath_prepend(str(JOBS))
-    from _session import SQL_CONF
-
+def job_session(spark):
+    """gasx's settings, which ``jobs/_session.get_spark`` gives the jobs/
+    entrypoints."""
     yield from _with_conf(spark, SQL_CONF)
 
 
@@ -207,6 +222,22 @@ def test_superstep_keeps_both_sync_exchanges(adf_hep, bench_session, monkeypatch
         found = re.findall(r"Exchange hashpartitioning\((.*?), 1\)", plan)
         keys = [re.sub(r"#\d+L?", "", k) for k in found]
         assert keys == ["dst", "pid, dst"]  # the executed plan lists the later one first
+
+
+def _normalized(plan: str) -> str:
+    """``plan`` without what differs between two plans of one shape:
+    expression ids, plan ids and observation names."""
+    plan = re.sub(r"#\d+", "#", plan)
+    plan = re.sub(r"plan_id=\d+", "plan_id=", plan)
+    return re.sub(r"CollectMetrics [0-9a-f-]{36}", "CollectMetrics", plan)
+
+
+@pytest.mark.parametrize("algo", ["pagerank", "cc", "bfs"])
+def test_every_superstep_has_one_plan(adf_hep, bench_session, monkeypatch, algo):
+    """Every superstep, the first included, runs the same physical plan,
+    so Spark compiles one superstep's classes once per run."""
+    plans = {_normalized(p) for p in _superstep_plans(adf_hep, algo, monkeypatch)}
+    assert len(plans) == 1
 
 
 @pytest.mark.parametrize("algo", ["pagerank", "cc", "bfs"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.hep import partition_hep
+from repro.core.nepp import TRACE_SLICE, partition_nepp
 from repro.core.memory_model import (
     hep_fixed_bytes,
     hep_footprint_bytes,
@@ -72,6 +73,37 @@ def test_hep_traced_peak_within_model(tau):
         tracemalloc.stop()
     bound = 1.5 * (hep_footprint_bytes(el.degrees(), tau=tau, k=k) + 24 * el.m)
     assert peak <= bound, f"traced peak {peak} B is {peak / bound:.2f}× the bound {bound} B"
+
+
+def _nepp_peak(el, *, traced: bool) -> tuple[int, dict, int]:
+    """(tracemalloc peak, stats, bytes of the arrays a traced run's
+    sizing run copies) of one ``partition_nepp`` on a fresh CSR, with a
+    no-op ``touch`` hook when ``traced``."""
+    csr = build_pruned_csr(el, tau=100.0)
+    if traced:
+        csr.touch = lambda lo, hi: None
+    copies = csr.col.nbytes + csr.out_size.nbytes + csr.in_size.nbytes
+    tracemalloc.start()
+    try:
+        res = partition_nepp(el, k=32, csr=csr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, res.stats, copies
+
+
+def test_nepp_touch_replay_peak_bounded():
+    """A ``touch`` hook costs at most the (reads, 2) int64 trace, the
+    sizing run's copies of ``col``, ``out_size`` and ``in_size``, and one
+    replay slice: two lists of TRACE_SLICE ints (8-byte pointers to int
+    objects of at most 32 bytes). Turning the whole trace into lists at
+    once cost about 4.5 times the trace."""
+    el = tiny_graph("OK", scale=0.1)
+    untraced, stats, _ = _nepp_peak(el, traced=False)
+    traced, _, copies = _nepp_peak(el, traced=True)
+    assert stats["col_reads"] > 4 * TRACE_SLICE  # the replay takes several slices
+    bound = untraced + 16 * stats["col_reads"] + copies + TRACE_SLICE * 2 * (8 + 32)
+    assert traced <= bound, f"traced peak {traced} B exceeds {bound} B"
 
 
 def test_streaming_footprint_smallest():

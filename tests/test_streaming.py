@@ -42,17 +42,6 @@ def test_hdrf_deterministic():
     assert np.array_equal(a.assignment, b.assignment)
 
 
-def test_random_seed_changes_assignment():
-    el = tiny_graph("LJ")
-    cap = int(np.ceil(ALPHA * el.m / 8))
-    pids = []
-    for seed in (1, 2):
-        replicas, sizes = _empty_state(el.n, 8)
-        pids.append(stream_edges(el.edges, replicas=replicas, sizes=sizes,
-                                 degrees=el.degrees(), cap=cap, method="random", seed=seed))
-    assert not np.array_equal(*pids)
-
-
 def test_unknown_method_raises():
     el = star_graph(3)
     with pytest.raises(ValueError):
