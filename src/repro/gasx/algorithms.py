@@ -25,10 +25,18 @@ BFS_MAX_ITER = 50  # supersteps before BFS stops short of its fixpoint
 class RunStats:
     """Outcome of one gasx algorithm run."""
 
-    iterations: int
-    comm_rows: int  # Σ over iterations of stage-2 partial rows
+    sync_rows: tuple[int, ...]  # stage-2 partial rows of each superstep
     wall_s: float
     compiled_classes: int  # generated classes Spark compiled during the run
+
+    @property
+    def iterations(self) -> int:
+        return len(self.sync_rows)
+
+    @property
+    def comm_rows(self) -> int:
+        """Σ over supersteps of the replica-sync rows."""
+        return sum(self.sync_rows)
 
 
 def _supersteps(assignment: DataFrame, init, step, max_iter: int) -> tuple[DataFrame, RunStats]:
@@ -43,15 +51,15 @@ def _supersteps(assignment: DataFrame, init, step, max_iter: int) -> tuple[DataF
     t0, c0 = time.perf_counter(), compiled_classes(spark)
     edges = edge_table(assignment)
     state = init(edges).localCheckpoint()
-    comm = it = 0
-    while it < max_iter:
-        it += 1
+    sync_rows = []
+    while len(sync_rows) < max_iter:
         state, sync, change = step(edges, state)
         state = state.localCheckpoint()
-        comm += observed_rows(sync)
+        sync_rows.append(observed_rows(sync))
         if change is not None and observed_rows(change) == 0:
             break
-    return state, RunStats(it, comm, time.perf_counter() - t0, compiled_classes(spark) - c0)
+    return state, RunStats(tuple(sync_rows), time.perf_counter() - t0,
+                           compiled_classes(spark) - c0)
 
 
 def _merge(state: DataFrame, total: DataFrame) -> DataFrame:

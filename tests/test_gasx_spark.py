@@ -1,7 +1,10 @@
 """gasx engine + algorithms: correctness against dense references and
 partitioning-invariance (the partitioning changes cost, never results).
 """
+import gc
 import re
+import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -66,6 +69,9 @@ def test_pagerank_matches_reference(el, hep, adf_hep):
     assert stats.iterations == 3
     # every replica pair receives a message in every iteration
     assert stats.comm_rows == 3 * hep.covered().sum()
+    a = hep.assignment
+    pairs = len(np.unique(np.concatenate([a[:, 2] * hep.n + a[:, 0], a[:, 2] * hep.n + a[:, 1]])))
+    assert stats.sync_rows == (pairs,) * 3
 
 
 def test_pagerank_partitioning_invariant(el, adf_hep, adf_dbh):
@@ -158,13 +164,16 @@ def test_cc_partitioning_invariant(spark):
     assert got == {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 3}
 
 
+@contextmanager
 def _with_conf(spark, conf):
     old = {k: spark.conf.get(k) for k in conf}
     for k, v in conf.items():
         spark.conf.set(k, v)
-    yield
-    for k, v in old.items():
-        spark.conf.set(k, v)
+    try:
+        yield
+    finally:
+        for k, v in old.items():
+            spark.conf.set(k, v)
 
 
 @pytest.fixture
@@ -173,24 +182,80 @@ def bench_session(spark):
     that reads a single partition would satisfy every later distribution,
     and no adaptive execution, under which a checkpoint keeps its
     partitioning."""
-    yield from _with_conf(
+    with _with_conf(
         spark, {"spark.sql.shuffle.partitions": "1", "spark.sql.adaptive.enabled": "false"}
-    )
+    ):
+        yield
 
 
 @pytest.fixture
 def job_session(spark):
     """gasx's settings, which ``jobs/_session.get_spark`` gives the jobs/
     entrypoints."""
-    yield from _with_conf(spark, SQL_CONF)
+    with _with_conf(spark, SQL_CONF):
+        yield
+
+
+def _partitioning(table):
+    return table._jdf.queryExecution().executedPlan().outputPartitioning()
 
 
 def test_edge_table_hash_partitioned_on_src(adf_hep, bench_session):
     """Hash-partitioned on src, not a single partition (what
     ``repartition("src")`` plans with one shuffle partition)."""
-    part = edge_table(adf_hep)._jdf.queryExecution().executedPlan().outputPartitioning()
+    part = _partitioning(edge_table(adf_hep))
     assert part.getClass().getSimpleName() == "HashPartitioning"
     assert re.fullmatch(r"hashpartitioning\(src#\d+L?, 1\)", part.toString())
+
+
+def test_edge_table_built_once_per_frame(adf_hep):
+    assert edge_table(adf_hep) is edge_table(adf_hep)
+
+
+def test_edge_table_rebuilt_under_other_plan_conf(spark, adf_hep, bench_session):
+    """A table planned under other shuffle settings is rebuilt, not
+    reused: its partitioning follows the settings of the call."""
+    one = edge_table(adf_hep)
+    with _with_conf(spark, {"spark.sql.shuffle.partitions": "16"}):
+        sixteen = edge_table(adf_hep)
+        assert sixteen is not one
+        assert re.fullmatch(r"hashpartitioning\(src#\d+L?, 16\)",
+                            _partitioning(sixteen).toString())
+        with _with_conf(spark, {"spark.sql.adaptive.enabled": "true"}):
+            assert edge_table(adf_hep) is not sixteen
+
+
+def test_edge_table_goes_with_its_frame(spark, hep):
+    adf = assignment_to_spark(spark, hep)
+    frame, table = weakref.ref(adf), weakref.ref(edge_table(adf))
+    assert table() is not None
+    del adf
+    gc.collect()
+    assert frame() is None and table() is None
+
+
+def _job_ids(spark) -> set[int]:
+    """Ids of the Spark jobs run so far outside a job group."""
+    sc = spark.sparkContext
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return set(sc.statusTracker().getJobIdsForGroup(None))
+
+
+def test_warm_pagerank_reuses_edge_table(spark, hep, job_session):
+    """A second PageRank call on one frame runs one Spark job fewer than
+    the first, the edge table's, so only its initial state's and its
+    supersteps', and gives the same ranks and sync rows."""
+    adf = assignment_to_spark(spark, hep).cache()
+    jobs, ranks, sync_rows = [], [], []
+    for _ in range(2):
+        before = _job_ids(spark)
+        out, stats = pagerank(adf, n_iter=2)
+        jobs.append(len(_job_ids(spark) - before))
+        ranks.append({r["v"]: r["rank"] for r in out.collect()})
+        sync_rows.append(stats.sync_rows)
+    assert jobs[1] == jobs[0] - 1 == 1 + 2
+    assert ranks[0] == ranks[1]
+    assert sync_rows[0] == sync_rows[1]
 
 
 def _superstep_plans(adf, algo, monkeypatch) -> list[str]:

@@ -57,6 +57,7 @@ def test_table4_rows(spark):
     for r in rows:
         assert r["rf"] >= 1.0
         assert r["pr_comm"] > 0 and r["bfs_comm"] >= 0 and r["cc_comm"] > 0
+        assert r["load_s"] > 0
 
 
 def test_table5_rows():
