@@ -14,8 +14,8 @@ from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
 from ..graphs.generators import arrays_to_spark
-from .engine import (compiled_classes, edge_table, observed_rows, ship, two_stage_agg,
-                     vertex_table)
+from .engine import (checkpoint, compiled_classes, edge_table, observed_rows, ship,
+                     started_jobs, two_stage_agg, vertex_table)
 
 DAMPING = 0.85  # PageRank's β, GraphX's default resetProb of 0.15
 BFS_MAX_ITER = 50  # supersteps before BFS stops short of its fixpoint
@@ -28,6 +28,7 @@ class RunStats:
     sync_rows: tuple[int, ...]  # stage-2 partial rows of each superstep
     wall_s: float
     compiled_classes: int  # generated classes Spark compiled during the run
+    jobs: int | None  # Spark jobs the run started; None where Spark hides the count
 
     @property
     def iterations(self) -> int:
@@ -41,25 +42,29 @@ class RunStats:
 
 def _supersteps(assignment: DataFrame, init, step, max_iter: int) -> tuple[DataFrame, RunStats]:
     """Run ``step`` over the :func:`edge_table` of ``assignment`` from the
-    vertex state ``init(edges)``, checkpointing the state before the
-    first superstep and after each one, so each superstep is one Spark
-    action. ``step(edges, state)`` returns (next state, the sync
-    observation of its :func:`two_stage_agg`, a change observation or
-    None). The loop stops after ``max_iter`` supersteps, or once a
-    change observation counted 0 rows. Returns (last state, stats)."""
+    vertex state ``init(edges)``, checkpointing the state serialized
+    (:func:`checkpoint`) before the first superstep and after each one,
+    so each superstep is one Spark action. ``step(edges, state)`` returns
+    (next state, the sync observation of its :func:`two_stage_agg`, a
+    change observation or None); its callers build their ``Column``
+    expressions once, outside ``step``. The loop stops after
+    ``max_iter`` supersteps, or once a change observation counted 0
+    rows. Returns (last state, stats)."""
     spark = assignment.sparkSession
-    t0, c0 = time.perf_counter(), compiled_classes(spark)
+    t0, c0, j0 = time.perf_counter(), compiled_classes(spark), started_jobs(spark)
     edges = edge_table(assignment)
-    state = init(edges).localCheckpoint()
+    state = checkpoint(init(edges))
     sync_rows = []
     while len(sync_rows) < max_iter:
         state, sync, change = step(edges, state)
-        state = state.localCheckpoint()
+        state = checkpoint(state)
         sync_rows.append(observed_rows(sync))
         if change is not None and observed_rows(change) == 0:
             break
+    j1 = started_jobs(spark)
     return state, RunStats(tuple(sync_rows), time.perf_counter() - t0,
-                           compiled_classes(spark) - c0)
+                           compiled_classes(spark) - c0,
+                           None if j0 is None or j1 is None else j1 - j0)
 
 
 def _merge(state: DataFrame, total: DataFrame) -> DataFrame:
@@ -73,13 +78,14 @@ def pagerank(assignment: DataFrame, *, n_iter: int = 10) -> tuple[DataFrame, Run
     active every iteration (the paper's communication-bound workload).
     Returns (DataFrame(v, rank), stats). rank = 0.15 + 0.85·Σ in-contrib,
     unnormalized, as in GraphX's staticPageRank."""
+    contrib = (F.col("rank") / F.col("outdeg")).alias("contrib")
+    v = F.col("dst").alias("v")
+    rank = (F.lit(1 - DAMPING) + F.lit(DAMPING) * F.col("contrib")).alias("rank")
+
     def step(edges, ranks):
-        msgs = ship(edges, ranks).select(
-            "pid", "dst", (F.col("rank") / F.col("outdeg")).alias("contrib")
-        )
+        msgs = ship(edges, ranks).select("pid", "dst", contrib)
         total, sync = two_stage_agg(msgs, "contrib", "sum")
-        rank = F.lit(1 - DAMPING) + F.lit(DAMPING) * F.col("contrib")
-        return total.select(F.col("dst").alias("v"), rank.alias("rank")), sync, None
+        return total.select(v, rank), sync, None
 
     # every incident vertex has a neighbour, so from the first iteration
     # on ``total`` holds a contribution for each of them
@@ -101,16 +107,16 @@ def bfs(assignment: DataFrame, *, source: int) -> tuple[DataFrame, RunStats]:
         state = unreached.unionAll(start).groupBy("v").agg(F.min("dist").alias("dist"))
         return state.withColumn("new", F.col("dist").isNotNull())
 
+    cand = (F.col("dist") + 1).alias("cand")
+    dist = F.coalesce("dist", "cand").alias("dist")
+    new = (F.col("dist").isNull() & F.col("cand").isNotNull()).alias("new")
+    reached = F.count(F.when(F.col("new"), 1)).alias("rows")
+
     def step(edges, state):
-        msgs = ship(edges, state.where("new")).select("pid", "dst",
-                                                      (F.col("dist") + 1).alias("cand"))
+        msgs = ship(edges, state.where("new")).select("pid", "dst", cand)
         total, sync = two_stage_agg(msgs, "cand", "min")
-        reached = Observation()
-        state = _merge(state, total).select(
-            "v", F.coalesce("dist", "cand").alias("dist"),
-            (F.col("dist").isNull() & F.col("cand").isNotNull()).alias("new"),
-        ).observe(reached, F.count(F.when(F.col("new"), 1)).alias("rows"))
-        return state, sync, reached
+        obs = Observation()
+        return _merge(state, total).select("v", dist, new).observe(obs, reached), sync, obs
 
     state, stats = _supersteps(assignment, init, step, BFS_MAX_ITER)
     return state.where(F.col("dist").isNotNull()).select("v", "dist"), stats
@@ -120,14 +126,15 @@ def connected_components(assignment: DataFrame, *, max_iter: int = 50) -> tuple[
     """Min-label propagation until fixpoint (or ``max_iter``). Returns
     (DataFrame(v, lbl), stats); vertices of one component share the
     minimum vertex id of the component."""
+    cand = F.col("lbl").alias("cand")
+    lowered = F.count(F.when(F.col("cand") < F.col("lbl"), 1)).alias("rows")
+    lbl = F.least("lbl", "cand").alias("lbl")  # least skips a null cand
+
     def step(edges, labels):
-        msgs = ship(edges, labels).select("pid", "dst", F.col("lbl").alias("cand"))
+        msgs = ship(edges, labels).select("pid", "dst", cand)
         total, sync = two_stage_agg(msgs, "cand", "min")
-        changed = Observation()
-        labels = _merge(labels, total).observe(
-            changed, F.count(F.when(F.col("cand") < F.col("lbl"), 1)).alias("rows"))
-        # least skips a null cand
-        return labels.select("v", F.least("lbl", "cand").alias("lbl")), sync, changed
+        obs = Observation()
+        return _merge(labels, total).observe(obs, lowered).select("v", lbl), sync, obs
 
     return _supersteps(
         assignment, lambda edges: vertex_table(edges, "lbl", F.min("src")), step, max_iter

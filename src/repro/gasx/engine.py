@@ -23,11 +23,14 @@ undirected: edges are symmetrized (each copy stays in its partition)
 before messaging. The symmetrized edge table is built once per
 assignment frame and plan settings and reused by every later call on
 that frame (:func:`edge_table`), so gasx treats the frame as immutable.
+Vertex state is stored serialized (:func:`checkpoint`).
 """
 from __future__ import annotations
 
 import weakref
 
+from py4j.protocol import Py4JError
+from pyspark import StorageLevel
 from pyspark.sql import Column, DataFrame, Observation, Window
 from pyspark.sql import functions as F
 
@@ -92,6 +95,16 @@ def edge_table(assignment: DataFrame) -> DataFrame:
     return table
 
 
+def checkpoint(state: DataFrame) -> DataFrame:
+    """Vertex state computed now, stored serialized in memory (spilling
+    to disk) and cut from its lineage. PySpark's ``MEMORY_AND_DISK`` is
+    the serialized level: the default, ``MEMORY_AND_DISK_DESER``, has
+    Spark estimate each stored row's object size, which cost a
+    superstep's storing stage 70 against 18 ms of executor CPU. The
+    edge table keeps the default level."""
+    return state.localCheckpoint(True, StorageLevel.MEMORY_AND_DISK)
+
+
 def vertex_table(edges: DataFrame, name: str, init: Column) -> DataFrame:
     """Initial vertex state DataFrame(v, <name>) over the distinct ``src``
     of an :func:`edge_table`, so over every vertex incident to an edge:
@@ -127,6 +140,19 @@ def observed_rows(obs: Observation) -> int:
     whose input turned out empty, observer included: that is zero rows
     (``obs.get`` fails on the missing metric, hence the JVM-side map)."""
     return int(obs._jo.getAsJava().getOrDefault("rows", 0))
+
+
+def started_jobs(spark) -> int | None:
+    """Spark jobs this context has started so far, so a call's delta
+    counts the jobs the call ran: the DAG scheduler's next job id. The
+    status tracker counts the same jobs, but hears of them through the
+    asynchronous listener bus and keeps only ``spark.ui.retainedJobs``
+    of them. The id is a Spark-internal field; where a Spark version
+    does not expose it, this returns None and the run goes on."""
+    try:
+        return int(spark.sparkContext._jsc.sc().dagScheduler().nextJobId())
+    except Py4JError:
+        return None
 
 
 def compiled_classes(spark) -> int:
