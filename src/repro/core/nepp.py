@@ -63,9 +63,11 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR,
     assignment is written into its first rows and is a view of it.
     ``loads`` holds the partition loads the loop kept.
 
-    With a paging ``touch`` hook on ``csr``, the column reads, recorded
-    by the C loop in read order, are replayed into ``touch`` after the
-    run, a slice of the trace at a time.
+    A paging ``touch`` hook on ``csr`` is the one way to see the run's
+    column reads: the C loop then records them, one call per non-empty
+    list read, and they are replayed into ``touch`` in read order after
+    the run, :data:`TRACE_SLICE` of them at a time. An exception in the
+    hook reaches the caller.
 
     Besides the counts :func:`partition_nepp_py` reports (clean-up,
     seed probes, ...), ``stats`` holds ``col_reads`` and
@@ -73,29 +75,6 @@ def partition_nepp(el: EdgeList, *, k: int, csr: CSR,
     ``phases``, the thread-CPU seconds of expansion, clean-up and the
     last sweep (a ``touch`` hook's time is not in them).
     """
-    res, trace = _partition(el, k, csr, out=out, traced=csr.touch is not None)
-    touch = csr.touch
-    for lo, hi in _reads(trace):
-        touch(lo, hi)
-    return res
-
-
-def _reads(trace: np.ndarray):
-    """The (byte_lo, byte_hi) rows of a ``(reads, 2)`` trace in order, as
-    Python ints made :data:`TRACE_SLICE` rows at a time, so no more than
-    one slice of them is alive at once."""
-    for i in range(0, len(trace), TRACE_SLICE):
-        part = trace[i:i + TRACE_SLICE]
-        yield from zip(part[:, 0].tolist(), part[:, 1].tolist())
-
-
-def _partition(el: EdgeList, k: int, csr: CSR, *, out: np.ndarray | None = None,
-               traced: bool = False) -> tuple[PartitionResult, np.ndarray]:
-    """:func:`partition_nepp` without the hook: (result, trace), where
-    ``trace`` is the ``(reads, 2)`` int64 array of the run's column
-    reads as (byte_lo, byte_hi) pairs when ``traced``, else empty. A
-    traced run first runs untraced on copies of the arrays the loop
-    mutates, to size the trace."""
     check_k(k)
     m_inmem = el.m - len(csr.h2h)
     _check_csr(csr, m_inmem)
@@ -107,14 +86,22 @@ def _partition(el: EdgeList, k: int, csr: CSR, *, out: np.ndarray | None = None,
                          f"int64 array of at least {m_inmem} rows")
     cap = max(1, -(-m_inmem // k))  # ⌈|E \ E_h2h| / k⌉
     initial_entries = csr.col_entries  # before clean-up shrinks lists
-    trace = np.empty((0, 2), dtype=np.int64)  # untraced: no reads recorded
-    if traced:  # the copies the sizing run mutates are freed before the real run
+    # a (byte_lo, byte_hi) int64 row per column read; a traced run is
+    # sized by an untraced run on copies of the arrays the loop mutates,
+    # freed before the real run
+    touch = csr.touch
+    trace = np.empty((0, 2), dtype=np.int64)
+    if touch is not None:
         reads = _run(replace(csr, out_size=csr.out_size.copy(), in_size=csr.in_size.copy(),
                              col=csr.col.copy()), k, cap, m_inmem, trace, out)[3][2]
-        trace = np.empty((reads, 2), dtype=np.int64)  # a row per column read
+        trace = np.empty((reads, 2), dtype=np.int64)
     assignment, replicas, sizes, counters, phases = _run(csr, k, cap, m_inmem, trace, out)
     _, cleaned, reads, read_bytes, probes = counters.tolist()
     expansion_s, cleanup_s, sweep_s = phases.tolist()
+    for i in range(0, len(trace), TRACE_SLICE):  # one slice alive as Python ints
+        part = trace[i:i + TRACE_SLICE]
+        for lo, hi in zip(part[:, 0].tolist(), part[:, 1].tolist()):
+            touch(lo, hi)
     return PartitionResult(
         assignment=assignment,
         k=k,
@@ -133,7 +120,7 @@ def _partition(el: EdgeList, k: int, csr: CSR, *, out: np.ndarray | None = None,
             "phases": {"expansion_s": expansion_s, "cleanup_s": cleanup_s,
                        "sweep_s": sweep_s},
         },
-    ), trace
+    )
 
 
 def _run(csr: CSR, k: int, cap: int, m_inmem: int, trace: np.ndarray,

@@ -55,12 +55,12 @@ def stream_edges(
     + m), so some partition is always open. ``method``: "hdrf" |
     "greedy" | "random"; random's draws are seeded with 0.
     """
+    if method not in _NATIVE_METHODS and method != "random":
+        raise ValueError(f"unknown streaming method {method!r}")
+    edges, degrees = _checked(edges, replicas, sizes, degrees)
     if method == "random":
         return stream_edges_py(edges, replicas=replicas, sizes=sizes, degrees=degrees,
                                cap=cap, method=method)
-    if method not in _NATIVE_METHODS:
-        raise ValueError(f"unknown streaming method {method!r}")
-    edges, degrees = _checked(edges, replicas, sizes, degrees)
     _check_room(sizes, len(edges), cap)
     k, n = replicas.shape
     pids = np.empty(len(edges), dtype=np.int64)

@@ -15,7 +15,7 @@ from pyspark.sql import functions as F
 
 from ..graphs.generators import arrays_to_spark
 from .engine import (checkpoint, compiled_classes, edge_table, observed_rows, ship,
-                     started_jobs, two_stage_agg, vertex_table)
+                     two_stage_agg, vertex_table)
 
 DAMPING = 0.85  # PageRank's β, GraphX's default resetProb of 0.15
 BFS_MAX_ITER = 50  # supersteps before BFS stops short of its fixpoint
@@ -28,7 +28,6 @@ class RunStats:
     sync_rows: tuple[int, ...]  # stage-2 partial rows of each superstep
     wall_s: float
     compiled_classes: int  # generated classes Spark compiled during the run
-    jobs: int | None  # Spark jobs the run started; None where Spark hides the count
 
     @property
     def iterations(self) -> int:
@@ -51,7 +50,7 @@ def _supersteps(assignment: DataFrame, init, step, max_iter: int) -> tuple[DataF
     ``max_iter`` supersteps, or once a change observation counted 0
     rows. Returns (last state, stats)."""
     spark = assignment.sparkSession
-    t0, c0, j0 = time.perf_counter(), compiled_classes(spark), started_jobs(spark)
+    t0, c0 = time.perf_counter(), compiled_classes(spark)
     edges = edge_table(assignment)
     state = checkpoint(init(edges))
     sync_rows = []
@@ -61,10 +60,8 @@ def _supersteps(assignment: DataFrame, init, step, max_iter: int) -> tuple[DataF
         sync_rows.append(observed_rows(sync))
         if change is not None and observed_rows(change) == 0:
             break
-    j1 = started_jobs(spark)
     return state, RunStats(tuple(sync_rows), time.perf_counter() - t0,
-                           compiled_classes(spark) - c0,
-                           None if j0 is None or j1 is None else j1 - j0)
+                           compiled_classes(spark) - c0)
 
 
 def _merge(state: DataFrame, total: DataFrame) -> DataFrame:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import weakref
 
-from py4j.protocol import Py4JError
 from pyspark import StorageLevel
 from pyspark.sql import Column, DataFrame, Observation, Window
 from pyspark.sql import functions as F
@@ -140,19 +139,6 @@ def observed_rows(obs: Observation) -> int:
     whose input turned out empty, observer included: that is zero rows
     (``obs.get`` fails on the missing metric, hence the JVM-side map)."""
     return int(obs._jo.getAsJava().getOrDefault("rows", 0))
-
-
-def started_jobs(spark) -> int | None:
-    """Spark jobs this context has started so far, so a call's delta
-    counts the jobs the call ran: the DAG scheduler's next job id. The
-    status tracker counts the same jobs, but hears of them through the
-    asynchronous listener bus and keeps only ``spark.ui.retainedJobs``
-    of them. The id is a Spark-internal field; where a Spark version
-    does not expose it, this returns None and the run goes on."""
-    try:
-        return int(spark.sparkContext._jsc.sc().dagScheduler().nextJobId())
-    except Py4JError:
-        return None
 
 
 def compiled_classes(spark) -> int:

@@ -3,18 +3,19 @@
 The paper restricts NE++'s memory with cgroups and an SSD swap device,
 then counts hard page faults. The sandbox has neither cgroup delegation
 nor swap (DESIGN.md substitution 3), so we reproduce the *measured
-quantity* directly: NE++ records every column-array read as the byte
-range ``[byte_lo, byte_hi)`` (the CSR's ``touch`` hook sees the same
-ranges), and this module replays those reads as touches against an LRU cache of 4 KiB pages sized to the memory limit minus
-HEP's fixed structures (§4.2). A miss on a never-seen page is a
+quantity* directly: NE++ reports every column-array read to the
+pruned CSR's ``touch`` hook as the byte range ``[byte_lo, byte_hi)``,
+and this module replays those reads as touches against an LRU cache
+of 4 KiB pages sized to the memory limit minus HEP's fixed structures
+(§4.2). A miss on a never-seen page is a
 compulsory load (the initial file read — not a fault); a miss on a
 previously-resident page is a **hard page fault**. Run-time is modeled
 as measured compute time + faults × SSD latency.
 
 NE++ never reads the cache, so its touches do not depend on the memory
-limit: one NE++ run records them, and one pass over the trace replays
-each read into a fresh cache per limit; a second NE++ run, recording
-nothing, is timed.
+limit: one NE++ run hands each read to a fresh cache per limit; a second
+NE++ run, with no hook, is timed from its CSR build on, as HEP times its
+in-memory phase.
 """
 from __future__ import annotations
 
@@ -58,39 +59,39 @@ class PagingRun:
 
     limit_bytes: int
     hard_faults: int
-    compulsory: int
     compute_s: float
     modeled_runtime_s: float
 
 
 def run_nepp_paged(el, *, k: int, tau: float, limits) -> list[PagingRun]:
-    """Run NE++ once recording its column reads and once timed recording
-    nothing, and replay the reads against an LRU cache of each limit in
-    ``limits`` minus the fixed §4.2 structures; one :class:`PagingRun`
-    per limit, in order."""
+    """Run NE++ once with an LRU cache of each limit in ``limits``, minus
+    the fixed §4.2 structures, on its CSR's ``touch`` hook, and once
+    timed with no hook; one :class:`PagingRun` per limit, in order."""
     import time
 
-    from ..core import nepp
     from ..core.memory_model import hep_fixed_bytes
+    from ..core.nepp import partition_nepp
     from ..graphs.csr import build_pruned_csr
 
-    # the (reads, 2) array of (byte_lo, byte_hi) pairs the C loop recorded
-    trace = nepp._partition(el, k, build_pruned_csr(el, tau=tau), traced=True)[1]
-    csr = build_pruned_csr(el, tau=tau)  # the traced run consumed its CSR
-    t0 = time.perf_counter()
-    nepp.partition_nepp(el, k=k, csr=csr)
-    compute = time.perf_counter() - t0
     fixed = hep_fixed_bytes(el.n, k=k)
     # only the column array pages; the §4.2 fixed structures are pinned
     caches = [(limit, LruPageCache(max(PAGE_SIZE, limit - fixed))) for limit in limits]
-    for lo, hi in nepp._reads(trace):  # every cache sees every read, in order
+
+    def touch(lo: int, hi: int) -> None:  # every cache sees every read, in order
         for _, cache in caches:
             cache.touch(lo, hi)
+
+    csr = build_pruned_csr(el, tau=tau)
+    csr.touch = touch
+    partition_nepp(el, k=k, csr=csr)
+    del csr  # consumed by clean-up: the timed run builds its own
+    t0 = time.perf_counter()
+    partition_nepp(el, k=k, csr=build_pruned_csr(el, tau=tau))
+    compute = time.perf_counter() - t0
     return [
         PagingRun(
             limit_bytes=limit,
             hard_faults=cache.hard_faults,
-            compulsory=cache.compulsory,
             compute_s=compute,
             modeled_runtime_s=compute + cache.hard_faults * SSD_FAULT_SECONDS,
         )

@@ -5,18 +5,16 @@ import gc
 import re
 import weakref
 from contextlib import contextmanager
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from py4j.protocol import Py4JError
 
 import repro.gasx.algorithms as gasx_alg
 from repro.core.hashing import dbh_np
 from repro.core.hep import partition_hep
 from repro.core.metrics import assignment_to_spark
 from repro.gasx.algorithms import bfs, connected_components, pagerank
-from repro.gasx.engine import SQL_CONF, compiled_classes, edge_table, started_jobs
+from repro.gasx.engine import SQL_CONF, compiled_classes, edge_table
 from repro.gasx.reference import bfs_ref, cc_ref, pagerank_ref
 from repro.graphs.degrees import degrees_df, high_vertices, split_edges
 from repro.graphs.generators import to_spark
@@ -246,34 +244,18 @@ def _job_ids(spark) -> set[int]:
 def test_warm_pagerank_reuses_edge_table(spark, hep, job_session):
     """A second PageRank call on one frame runs one Spark job fewer than
     the first, the edge table's, so only its initial state's and its
-    supersteps', and gives the same ranks and sync rows. ``RunStats.jobs``
-    counts the jobs the status tracker saw."""
+    supersteps', and gives the same ranks and sync rows."""
     adf = assignment_to_spark(spark, hep).cache()
     jobs, ranks, sync_rows = [], [], []
     for _ in range(2):
         before = _job_ids(spark)
         out, stats = pagerank(adf, n_iter=2)
         jobs.append(len(_job_ids(spark) - before))
-        assert stats.jobs == jobs[-1]
         ranks.append({r["v"]: r["rank"] for r in out.collect()})
         sync_rows.append(stats.sync_rows)
     assert jobs[1] == jobs[0] - 1 == 3
     assert ranks[0] == ranks[1]
     assert sync_rows[0] == sync_rows[1]
-
-
-def test_job_count_unreadable_leaves_run_intact(adf_hep, monkeypatch):
-    """Where the scheduler's job id cannot be read, a run still returns
-    its ranks and stats, with no job count."""
-    class Hidden:
-        def dagScheduler(self):
-            raise Py4JError("nextJobId is not exposed")
-
-    hidden = SimpleNamespace(sparkContext=SimpleNamespace(_jsc=SimpleNamespace(sc=Hidden)))
-    assert started_jobs(hidden) is None
-    monkeypatch.setattr(gasx_alg, "started_jobs", lambda spark: started_jobs(hidden))
-    out, stats = pagerank(adf_hep, n_iter=1)
-    assert stats.jobs is None and stats.iterations == 1 and out.count() > 0
 
 
 def _storage_levels(spark) -> dict[int, str]:

@@ -9,6 +9,8 @@ from repro.core.streaming import ALPHA, stream_edges, stream_edges_py
 
 from .conftest import TEST_GRAPHS, star_graph, tiny_graph
 
+METHODS = ("hdrf", "greedy", "random")
+
 
 def _empty_state(n: int, k: int):
     """(replicas, sizes) of a stream that has seen no edge."""
@@ -201,13 +203,14 @@ def test_native_matches_python_pinned(case, method):
 
 
 def test_edge_id_out_of_range_raises():
-    """An id ≥ n would be an out-of-bounds write in the C kernel; it is
-    refused before any edge is placed."""
-    replicas, sizes = _empty_state(n=4, k=2)
-    with pytest.raises(ValueError, match="edge ids"):
-        stream_edges(np.array([[0, 4]]), replicas=replicas, sizes=sizes,
-                     degrees=np.ones(4, dtype=np.int64), cap=5)
-    assert sizes.sum() == 0 and not replicas.any()
+    """An id ≥ n would be an out-of-bounds write in the C kernel; every
+    method, random included, refuses it before any edge is placed."""
+    for method in METHODS:
+        replicas, sizes = _empty_state(n=4, k=2)
+        with pytest.raises(ValueError, match="edge ids"):
+            stream_edges(np.array([[0, 4]]), replicas=replicas, sizes=sizes,
+                         degrees=np.ones(4, dtype=np.int64), cap=5, method=method)
+        assert sizes.sum() == 0 and not replicas.any(), method
 
 
 @pytest.mark.parametrize("bad", [
@@ -216,7 +219,8 @@ def test_edge_id_out_of_range_raises():
 ])
 def test_malformed_stream_state_raises(bad):
     """Every array the C kernel reads or writes is checked for shape,
-    dtype and layout first; state is never copied to make it fit."""
+    dtype and layout first, for every method, the Python-only random
+    one included; state is never copied to make it fit."""
     n, k = 4, 2
     args = dict(edges=np.array([[0, 1]]), replicas=np.zeros((k, n), dtype=bool),
                 sizes=np.zeros(k, dtype=np.int64), degrees=np.ones(n, dtype=np.int64))
@@ -230,5 +234,6 @@ def test_malformed_stream_state_raises(bad):
         "degrees of wrong length": dict(degrees=np.ones(n + 1, dtype=np.int64)),
         "degrees not integer": dict(degrees=np.ones(n)),
     }[bad])
-    with pytest.raises(ValueError, match="stream_edges"):
-        stream_edges(**args, cap=5)
+    for method in METHODS:
+        with pytest.raises(ValueError, match="stream_edges"):
+            stream_edges(**args, cap=5, method=method)
